@@ -9,7 +9,7 @@ hold without floating-point wobble.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 
 from .counting import independence_number, maximum_independent_sets
 from .errors import DomainError, SplitPathFreeError
@@ -178,13 +178,6 @@ def split_path_leading(n: int, t: int, r: int) -> int:
     falling = 1
     for i in range(k):
         falling *= t - 2 - i
-    product = comb(n - t + 2, k) * falling * _fact(k)
+    product = comb(n - t + 2, k) * falling * factorial(k)
     assert product % 2 == 0
     return product // 2
-
-
-def _fact(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out

@@ -56,6 +56,75 @@ SCHEMA = {
 }
 
 
+# family -> (constructions function, the flags it takes in order, the
+# pattern the result is checked to be saturated for)
+_FAMILIES = {
+    "split": ("split_graph", "n t", "K{t}"),
+    "near-regular": ("near_regular", "a b", None),
+    "kr": ("kr_graph", "t n m", "S{t}"),
+    "regular-multipartite": ("regular_multipartite", "a r k", None),
+    "partite": ("partite_saturated", "n r t c", "S{t}"),
+    "g49": ("g49", "", "K4"),
+    "g4n": ("g4n", "n", "K4"),
+    "gtn": ("gtn", "t n", "K{t}"),
+    "wt": ("w_t", "t sizes", "K{t}"),
+    "fig1": ("fig1", "", "S5"),
+    "fig2": ("fig2", "", "S5"),
+    "tstar": ("t_star", "", None),
+    "cycle-pendants": ("cycle_pendants", "k", None),
+}
+
+# bounds name -> (bounds function, the flags it takes in order)
+_BOUNDS = {
+    "ehm": ("ehm_value", "n t"),
+    "cl": ("cl_value", "n r t"),
+    "partite-threshold": ("partite_threshold", "r t c"),
+    "partite-smooth": ("partite_threshold_smooth", "r t c"),
+    "best-c": ("best_c", "r t"),
+    "partite-necessary": ("partite_necessary", "r t"),
+    "krfree": ("krfree_bound", "r t m"),
+    "krfree-at-r": ("krfree_bound_at_r", "r t"),
+    "kt-threshold": ("kt_threshold", "pattern"),
+    "path-sat-threshold": ("path_sat_threshold", "t"),
+    "split-path-leading": ("split_path_leading", "n t r"),
+}
+
+
+def _missing_flag(args) -> str | None:
+    """Name the first flag the chosen construct family or bounds name lacks."""
+    if args.command == "construct":
+        choice, flags = args.family, _FAMILIES[args.family][1]
+    elif args.command == "bounds":
+        choice, flags = args.name, _BOUNDS[args.name][1]
+    else:
+        return None
+    for flag in flags.split():
+        if getattr(args, flag) is None:
+            return f"{args.command} {choice} needs --{flag}"
+    return None
+
+
+# an ArgumentTypeError raised by a type becomes a usage error (exit 2)
+def _workers(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"workers must be a positive integer, got {text!r}")
+    return value
+
+
+def _sizes(text: str) -> str:
+    try:
+        [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"sizes must be comma-separated integers, got {text!r}")
+    return text
+
+
 def _read_graph(text: str) -> Graph:
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
@@ -88,17 +157,18 @@ def _emit(command: str, parameters: dict, result, started: float) -> None:
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="satgraph",
                                 description="graph saturation toolkit")
+    # a string default goes through the type check like a typed value
+    workers = {"type": _workers,
+               "default": os.environ.get("SATGRAPH_WORKERS", "1")}
     p.add_argument("--schema", action="store_true",
                    help="print the JSON schema and exit")
     sub = p.add_subparsers(dest="command")
 
     c = sub.add_parser("construct", help="emit a named construction")
-    c.add_argument("family", choices=[
-        "split", "near-regular", "kr", "regular-multipartite", "partite",
-        "g49", "g4n", "gtn", "wt", "fig1", "fig2", "tstar", "cycle-pendants"])
+    c.add_argument("family", choices=list(_FAMILIES))
     for flag in ("--n", "--t", "--r", "--m", "--a", "--b", "--k", "--c"):
         c.add_argument(flag, type=int)
-    c.add_argument("--sizes", type=str,
+    c.add_argument("--sizes", type=_sizes,
                    help="comma-separated class sizes (wt: m1..m5)")
 
     q = sub.add_parser("count", help="count pattern copies in a graph")
@@ -119,8 +189,7 @@ def _parser() -> argparse.ArgumentParser:
     se.add_argument("--forbid", required=True)
     se.add_argument("--count", required=True)
     se.add_argument("--max-degree", type=int)
-    se.add_argument("--workers", type=int,
-                    default=int(os.environ.get("SATGRAPH_WORKERS", "1")))
+    se.add_argument("--workers", **workers)
     se.add_argument("--connected-only", action="store_true")
 
     m = sub.add_parser("m0", help="optimal clique size for the KR family")
@@ -131,10 +200,7 @@ def _parser() -> argparse.ArgumentParser:
     tt.add_argument("--max", type=int, required=True)
 
     b = sub.add_parser("bounds", help="closed-form bounds and thresholds")
-    b.add_argument("name", choices=[
-        "ehm", "cl", "partite-threshold", "partite-smooth", "best-c",
-        "partite-necessary", "krfree", "krfree-at-r", "kt-threshold",
-        "path-sat-threshold", "split-path-leading"])
+    b.add_argument("name", choices=list(_BOUNDS))
     for flag in ("--n", "--t", "--r", "--c", "--m"):
         b.add_argument(flag, type=int)
     b.add_argument("--pattern")
@@ -143,64 +209,30 @@ def _parser() -> argparse.ArgumentParser:
     scsub = sc.add_subparsers(dest="what", required=True)
     st = scsub.add_parser("tstar")
     st.add_argument("--max-n", type=int, default=10)
-    st.add_argument("--workers", type=int,
-                    default=int(os.environ.get("SATGRAPH_WORKERS", "1")))
+    st.add_argument("--workers", **workers)
 
     ce = sub.add_parser("certify", help="oracle/formula comparison archive")
     ce.add_argument("--grid", required=True,
                     help="file of lines: <n> <forbid> <count>")
     ce.add_argument("--out", help="write the archive here instead of stdout")
-    ce.add_argument("--workers", type=int,
-                    default=int(os.environ.get("SATGRAPH_WORKERS", "1")))
+    ce.add_argument("--workers", **workers)
     return p
 
 
 def _construct(args) -> dict:
-    fam = args.family
-    parts = None
-    target = None
-    if fam == "split":
-        g = cons.split_graph(args.n, args.t)
-        target = parse_pattern(f"K{args.t}")
-    elif fam == "near-regular":
-        g = cons.near_regular(args.a, args.b)
-    elif fam == "kr":
-        g = cons.kr_graph(args.t, args.n, args.m)
-        target = parse_pattern(f"S{args.t}")
-    elif fam == "regular-multipartite":
-        g, parts = cons.regular_multipartite(args.a, args.r, args.k)
-    elif fam == "partite":
-        g, parts = cons.partite_saturated(args.n, args.r, args.t, args.c)
-        target = parse_pattern(f"S{args.t}")
-    elif fam == "g49":
-        g = cons.g49()
-        target = parse_pattern("K4")
-    elif fam == "g4n":
-        g = cons.g4n(args.n)
-        target = parse_pattern("K4")
-    elif fam == "gtn":
-        g = cons.gtn(args.t, args.n)
-        target = parse_pattern(f"K{args.t}")
-    elif fam == "wt":
-        sizes = [int(x) for x in args.sizes.split(",")]
-        if len(sizes) != 5:
+    func, flags, target = _FAMILIES[args.family]
+    values = [getattr(args, flag) for flag in flags.split()]
+    if args.family == "wt":
+        values[1:] = [int(x) for x in args.sizes.split(",")]
+        if len(values) != 6:
             raise DomainError("wt needs five sizes m1,m2,m3,m4,m5")
-        g = cons.w_t(args.t, *sizes)
-        target = parse_pattern(f"K{args.t}")
-    elif fam == "fig1":
-        g = cons.fig1()
-        target = parse_pattern("S5")
-    elif fam == "fig2":
-        g = cons.fig2()
-        target = parse_pattern("S5")
-    elif fam == "tstar":
-        g = cons.t_star()
-    else:
-        g = cons.cycle_pendants(args.k)
+    g = getattr(cons, func)(*values)
+    g, parts = g if isinstance(g, tuple) else (g, None)
     props: dict = {"degree_sequence": sorted(g.degrees())}
     if parts is not None:
         props["parts"] = [list(p) for p in parts]
     if target is not None:
+        target = parse_pattern(target.format(t=args.t))
         cert = is_saturated(g, target)
         props["target"] = str(target)
         props["saturated"] = cert.is_saturated
@@ -210,41 +242,22 @@ def _construct(args) -> dict:
 
 def _bounds(args) -> dict:
     name = args.name
-    satisfied = None
-    if name == "ehm":
-        value = bnd.ehm_value(args.n, args.t)
-    elif name == "cl":
-        value = bnd.cl_value(args.n, args.r, args.t)
-    elif name == "partite-threshold":
-        value = bnd.partite_threshold(args.r, args.t, args.c)
-        if args.n is not None:
-            satisfied = args.n >= max(args.t + 1, value)
-    elif name == "partite-smooth":
-        value = bnd.partite_threshold_smooth(args.r, args.t, args.c)
-    elif name == "best-c":
-        value = bnd.best_c(args.r, args.t)
-    elif name == "partite-necessary":
-        value = bnd.partite_necessary(args.r, args.t)
-        if args.n is not None:
-            satisfied = Fraction(args.n) >= value
-    elif name == "krfree":
-        value = bnd.krfree_bound(args.r, args.t, args.m)
-    elif name == "krfree-at-r":
-        value = bnd.krfree_bound_at_r(args.r, args.t)
-    elif name == "kt-threshold":
-        value = bnd.kt_threshold(parse_pattern(args.pattern))
-    elif name == "path-sat-threshold":
-        value = bnd.path_sat_threshold(args.t)
-        if args.n is not None:
-            satisfied = args.n >= value
-    else:
-        try:
-            value = bnd.split_path_leading(args.n, args.t, args.r)
-        except SplitPathFreeError as exc:
-            return {"name": name, "parameters": _params(args),
-                    "value": None, "note": str(exc), "satisfied": None}
-    return {"name": name, "parameters": _params(args),
-            "value": value, "satisfied": satisfied}
+    func, flags = _BOUNDS[name]
+    values = [getattr(args, flag) for flag in flags.split()]
+    if name == "kt-threshold":
+        values = [parse_pattern(args.pattern)]
+    report = {"name": name, "parameters": _params(args), "satisfied": None}
+    try:
+        value = report["value"] = getattr(bnd, func)(*values)
+    except SplitPathFreeError as exc:
+        return {**report, "value": None, "note": str(exc)}
+    if args.n is not None and name == "partite-threshold":
+        report["satisfied"] = args.n >= max(args.t + 1, value)
+    elif args.n is not None and name == "partite-necessary":
+        report["satisfied"] = Fraction(args.n) >= value
+    elif args.n is not None and name == "path-sat-threshold":
+        report["satisfied"] = args.n >= value
+    return report
 
 
 def _params(args) -> dict:
@@ -313,6 +326,10 @@ def run(argv) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
+    missing = _missing_flag(args)
+    if missing:
+        print(f"satgraph: error: {missing}", file=sys.stderr)
+        return 2
     try:
         if args.command == "construct":
             _emit("construct", _params(args), _construct(args), started)
@@ -369,8 +386,9 @@ def run(argv) -> int:
         else:
             parser.print_usage(sys.stderr)
             return 2
-    except DomainError as exc:
-        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}},
+    except (DomainError, OSError) as exc:
+        code = exc.code if isinstance(exc, DomainError) else "io"
+        print(json.dumps({"error": {"code": code, "message": str(exc)}},
                          sort_keys=True))
         print(f"error: {exc}", file=sys.stderr)
         return 3

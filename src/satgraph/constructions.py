@@ -7,8 +7,7 @@ partitions) are exercised by the test suite rather than trusted.
 
 from __future__ import annotations
 
-from math import comb
-
+from .bounds import partite_threshold
 from .errors import DomainError
 from .graph import (Graph, blow_up, build_graph, complete_graph, cycle_graph,
                     disjoint_union, empty_graph, join)
@@ -131,12 +130,6 @@ def regular_multipartite(a: int, r: int, k: int):
     return g, parts
 
 
-def partite_threshold_n1(r: int, t: int, c: int) -> int:
-    """Construction threshold (r-c)*ceil((t-1)/(r-c-1)) + (r-c)."""
-    rc = r - c
-    return rc * -(-(t - 1) // (rc - 1)) + rc
-
-
 def partite_saturated(n: int, r: int, t: int, c: int):
     """An n-vertex S_t-saturated graph built from a (t-1)-regular
     (r-c)-partite core plus clique components; returns (graph, parts).
@@ -153,7 +146,7 @@ def partite_saturated(n: int, r: int, t: int, c: int):
         raise DomainError("need r >= 3 and t >= 3")
     if not 0 <= c <= r - 2:
         raise DomainError(f"c must satisfy 0 <= c <= r-2, got c={c}")
-    bound = max(t + 1, partite_threshold_n1(r, t, c))
+    bound = max(t + 1, partite_threshold(r, t, c))
     if n < bound:
         raise DomainError(
             f"n={n} below threshold max(t+1, (r-c)*ceil((t-1)/(r-c-1))+(r-c))"
@@ -252,7 +245,3 @@ def cycle_pendants(k: int) -> Graph:
     edges = [(i, (i + 1) % k) for i in range(k)]
     edges += [(i, k + i) for i in range(k)]
     return build_graph(2 * k, edges)
-
-
-def split_graph_edge_count(n: int, t: int) -> int:
-    return (n - t + 2) * (t - 2) + comb(t - 2, 2)

@@ -40,6 +40,25 @@ def _clique_count(adj, cand: int, r: int) -> int:
     return total
 
 
+def find_clique(adj, cand: int, size: int):
+    """Some size-clique inside the vertex mask cand, as an ascending tuple,
+    or None; size <= 0 is met by the empty tuple."""
+    if size <= 0:
+        return ()
+    if cand.bit_count() < size:
+        return None
+    m = cand
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        # later vertices only: each clique is met in ascending order once
+        rest = find_clique(adj, adj[v] & m, size - 1)
+        if rest is not None:
+            return (v,) + rest
+    return None
+
+
 def count_stars(g: Graph, r: int) -> int:
     """s_r(G): r >= 2 counts centers, r = 1 counts edges."""
     if r < 1:
@@ -113,56 +132,75 @@ def count_cycles(g: Graph, k: int) -> int:
     return total // 2
 
 
-def count_embeddings(host: Graph, pattern: Graph) -> int:
-    """Injective maps pattern -> host sending pattern edges to host edges."""
+class _Hit(Exception):
+    """Raised at a leaf of the embedding search to stop at the first map."""
+
+
+def embed(host: Graph, pattern: Graph, pinned: dict[int, int] | None = None,
+          first: bool = False):
+    """Injective maps pattern -> host sending pattern edges to host edges.
+
+    ``pinned`` maps pattern vertices to fixed host vertices.  Returns the
+    number of maps, or with ``first`` the first map found (a tuple indexed
+    by pattern vertex) or None.
+    """
     np = pattern.n
     if np > host.n:
-        return 0
-    # order pattern vertices so each (after the first) touches a previous one
-    # when possible; degree-descending start helps pruning
-    order: list[int] = []
-    placed = 0
-    remaining = set(range(np))
+        return None if first else 0
+    # pinned vertices first, then each vertex touching a placed one when
+    # possible, highest degree first: early edges prune hardest
+    pdeg = pattern.degrees()
+    order = list(pinned or ())
+    placed = sum(1 << v for v in order)
+    remaining = [v for v in range(np) if not placed >> v & 1]
     while remaining:
-        touching = [v for v in remaining if pattern.adj[v] & placed]
-        pick = (max(touching, key=lambda v: pattern.degree(v)) if touching
-                else max(remaining, key=lambda v: pattern.degree(v)))
+        pool = [v for v in remaining if pattern.adj[v] & placed] or remaining
+        pick = max(pool, key=pdeg.__getitem__)
         order.append(pick)
         placed |= 1 << pick
-        remaining.discard(pick)
-    pdeg = pattern.degrees()
+        remaining.remove(pick)
+    pos = {v: i for i, v in enumerate(order)}
+    # for each position: earlier-placed pattern neighbors, the host vertices
+    # it may take, and the degree its image needs
+    back = [[pos[u] for u in bits(pattern.adj[v]) if pos[u] < i]
+            for i, v in enumerate(order)]
+    full = (1 << host.n) - 1
+    domain = [1 << pinned[v] if pinned and v in pinned else full for v in order]
+    need = [pdeg[v] for v in order]
     hdeg = host.degrees()
     hadj = host.adj
-    full = (1 << host.n) - 1
-    pos_in_order = {v: i for i, v in enumerate(order)}
-    # for each pattern vertex, earlier-ordered pattern neighbors
-    back = []
-    for i, v in enumerate(order):
-        back.append([pos_in_order[u] for u in bits(pattern.adj[v]) if pos_in_order[u] < i])
-    total = 0
     image = [0] * np
+    total = 0
 
     def assign(i: int, used: int):
         nonlocal total
         if i == np:
+            if first:
+                raise _Hit
             total += 1
             return
-        v = order[i]
-        cand = full & ~used
+        cand = domain[i] & ~used
         for b in back[i]:
             cand &= hadj[image[b]]
-        m = cand
-        dv = pdeg[v]
-        while m:
-            low = m & -m
-            m ^= low
+        dv = need[i]
+        while cand:
+            low = cand & -cand
+            cand ^= low
             w = low.bit_length() - 1
             if hdeg[w] >= dv:
                 image[i] = w
                 assign(i + 1, used | low)
 
-    assign(0, 0)
-    return total
+    try:
+        assign(0, 0)
+    except _Hit:
+        return tuple(image[pos[v]] for v in range(np))
+    return None if first else total
+
+
+def count_embeddings(host: Graph, pattern: Graph) -> int:
+    """Number of injective edge-preserving maps pattern -> host."""
+    return embed(host, pattern)
 
 
 def tree_automorphisms(t: Graph) -> int:
@@ -174,15 +212,10 @@ def tree_automorphisms(t: Graph) -> int:
 
 def count_tree(g: Graph, t: PatternSpec) -> int:
     """Copies of an explicit tree: injective embeddings over |Aut(t)|."""
-    if t.kind == "star":
-        tg = t.to_graph()
-    elif t.kind == "path":
-        tg = t.to_graph()
-    elif t.kind == "tree":
-        tg = t.graph
-    else:
+    if t.kind not in ("star", "path", "tree"):
         raise DomainError("count_tree expects a tree-shaped pattern",
                           code="not-a-tree")
+    tg = t.to_graph()
     if not is_tree(tg):
         raise DomainError("pattern payload is not a tree", code="not-a-tree")
     return count_embeddings(g, tg) // count_embeddings(tg, tg)
@@ -198,9 +231,7 @@ def count_pattern(g: Graph, p: PatternSpec) -> int:
         return count_paths(g, p.size)
     if p.kind == "cycle":
         return count_cycles(g, p.size)
-    pg = p.graph
-    aut = count_embeddings(pg, pg)
-    return count_embeddings(g, pg) // aut
+    return count_embeddings(g, p.graph) // count_embeddings(p.graph, p.graph)
 
 
 def independence_number(g: Graph) -> int:
@@ -227,26 +258,14 @@ def independence_number(g: Graph) -> int:
 
 
 def count_independent_sets(g: Graph, k: int) -> int:
-    """Number of independent k-subsets."""
+    """Number of independent k-subsets: the k-cliques of the complement."""
     if k < 0:
         raise DomainError("independent-set size must be >= 0")
     if k == 0:
         return 1
-    adj = g.adj
-
-    def grow(cand: int, left: int) -> int:
-        if left == 1:
-            return cand.bit_count()
-        total = 0
-        m = cand
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            total += grow(m & ~adj[v], left - 1)
-        return total
-
-    return grow((1 << g.n) - 1, k)
+    full = (1 << g.n) - 1
+    return _clique_count([full ^ a ^ (1 << v) for v, a in enumerate(g.adj)],
+                         full, k)
 
 
 def maximum_independent_sets(g: Graph) -> list[tuple[int, ...]]:

@@ -12,6 +12,7 @@ offset 63) and a small JSON adjacency form used for debugging.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -30,6 +31,51 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+@lru_cache(maxsize=None)
+def _layout(n: int):
+    """Bytes per row at a power-of-two stride, the off-diagonal n x n cells,
+    and the block swaps that transpose a stride x stride bit matrix."""
+    stride = 8
+    while stride < n:
+        stride *= 2
+    rows = ((1 << n * stride) - 1) // ((1 << stride) - 1)
+    diag = ((1 << n * (stride + 1)) - 1) // ((1 << stride + 1) - 1)
+    return stride // 8, ((1 << n) - 1) * rows ^ diag, _swaps(stride)
+
+
+@lru_cache(maxsize=None)
+def _swaps(stride: int) -> tuple[tuple[int, int], ...]:
+    # at block size j, cell (r, c) with r & j == 0 and c & j != 0 trades
+    # places with (r + j, c - j), j * (stride - 1) bits further up
+    out = []
+    j = stride // 2
+    while j:
+        cols = sum(1 << c for c in range(stride) if c & j)
+        rows = sum(1 << r * stride for r in range(stride) if not r & j)
+        out.append((j * (stride - 1), cols * rows))
+        j //= 2
+    return tuple(out)
+
+
+def _is_simple(n: int, adj: tuple[int, ...]) -> bool:
+    """Rows as one bit matrix: no loop, no bit at or above n, and equal to
+    its transpose.  Whole-matrix integer operations keep this off the
+    per-edge path, since every Graph built runs it."""
+    width, inside, swaps = _layout(n)
+    try:
+        m = int.from_bytes(b"".join([a.to_bytes(width, "little") for a in adj]),
+                           "little")
+    except OverflowError:  # a negative row, or one wider than the stride
+        return False
+    if m & ~inside:
+        return False
+    t = m
+    for shift, mask in swaps:
+        d = (t ^ t >> shift) & mask
+        t ^= d | d << shift
+    return t == m
+
+
 class Graph:
     """An immutable simple graph on vertices ``0..n-1``."""
 
@@ -44,6 +90,9 @@ class Graph:
         self._hash = None
         if len(self.adj) != n:
             raise DomainError("adjacency length does not match order")
+        if not _is_simple(n, self.adj):
+            raise DomainError("adjacency rows must be symmetric, loop-free and "
+                              f"below bit n={n}", code="adjacency")
 
     # -- construction -------------------------------------------------
 

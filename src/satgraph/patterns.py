@@ -129,10 +129,10 @@ def is_tree(g: Graph) -> bool:
         return False
     if g.num_edges() != g.n - 1:
         return False
-    return _is_connected(g)
+    return is_connected(g)
 
 
-def _is_connected(g: Graph) -> bool:
+def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
     seen = 1
@@ -147,7 +147,3 @@ def _is_connected(g: Graph) -> bool:
         frontier = nxt & ~seen
         seen |= nxt
     return seen == (1 << g.n) - 1
-
-
-def is_connected(g: Graph) -> bool:
-    return _is_connected(g)

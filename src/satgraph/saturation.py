@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .canon import canonical_form
-from .counting import count_embeddings
+from .counting import count_embeddings, embed, find_clique
 from .errors import DomainError
 from .graph import Graph, bits, encode_graph6
 from .patterns import PatternSpec, graph_pattern
@@ -63,106 +63,8 @@ def contains_copy(g: Graph, f: PatternSpec):
                 return tuple([v] + leaves)
         return None
     if f.kind == "clique":
-        return _find_clique(g, f.size)
-    return _find_embedding(g, f.to_graph())
-
-
-def _find_clique(g: Graph, r: int):
-    if r > g.n:
-        return None
-    adj = g.adj
-    out: list[int] = []
-
-    def grow(cand: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if cand.bit_count() < need:
-            return False
-        m = cand
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            out.append(v)
-            if grow(adj[v] & m, need - 1):
-                return True
-            out.pop()
-        return False
-
-    return tuple(out) if grow((1 << g.n) - 1, r) else None
-
-
-def _find_embedding(g: Graph, pattern: Graph, pinned: dict[int, int] | None = None):
-    """One injective edge-preserving map pattern -> g, or None.
-
-    ``pinned`` maps pattern vertices to fixed host vertices.
-    """
-    np = pattern.n
-    if np - (len(pinned) if pinned else 0) > g.n:
-        return None
-    order: list[int] = []
-    placed = 0
-    if pinned:
-        for v in pinned:
-            order.append(v)
-            placed |= 1 << v
-    remaining = [v for v in range(np) if not placed >> v & 1]
-    while remaining:
-        touching = [v for v in remaining if pattern.adj[v] & placed]
-        pool = touching if touching else remaining
-        pick = max(pool, key=lambda v: pattern.degree(v))
-        order.append(pick)
-        placed |= 1 << pick
-        remaining.remove(pick)
-    pos = {v: i for i, v in enumerate(order)}
-    back = [[pos[u] for u in bits(pattern.adj[v]) if pos[u] < i]
-            for i, v in enumerate(order)]
-    pdeg = pattern.degrees()
-    hdeg = g.degrees()
-    hadj = g.adj
-    full = (1 << g.n) - 1
-    image = [0] * np
-    npin = len(pinned) if pinned else 0
-
-    def assign(i: int, used: int):
-        if i == np:
-            return True
-        v = order[i]
-        cand = full & ~used
-        for b in back[i]:
-            cand &= hadj[image[b]]
-        m = cand
-        while m:
-            low = m & -m
-            m ^= low
-            w = low.bit_length() - 1
-            if hdeg[w] >= pdeg[v]:
-                image[i] = w
-                if assign(i + 1, used | low):
-                    return True
-        return False
-
-    used0 = 0
-    ok = True
-    if pinned:
-        for i in range(npin):
-            v = order[i]
-            w = pinned[v]
-            image[i] = w
-            for b in back[i]:
-                if not (hadj[image[b]] >> w & 1):
-                    ok = False
-            if hdeg[w] < pdeg[v] or used0 >> w & 1:
-                ok = False
-            used0 |= 1 << w
-    if not ok:
-        return None
-    if not assign(npin, used0):
-        return None
-    result = [0] * np
-    for i, v in enumerate(order):
-        result[v] = image[i]
-    return tuple(result)
+        return find_clique(g.adj, (1 << g.n) - 1, f.size)
+    return embed(g, f.to_graph(), first=True)
 
 
 def creates_copy(g: Graph, f: PatternSpec, u: int, v: int) -> bool:
@@ -176,38 +78,18 @@ def creates_copy(g: Graph, f: PatternSpec, u: int, v: int) -> bool:
             return True
         return g.degree(u) >= r - 1 or g.degree(v) >= r - 1
     if f.kind == "clique":
-        t = f.size
-        if t == 1:
-            return True
-        if t == 2:
-            return True
         common = g.adj[u] & g.adj[v]
-        return _mask_has_clique(g.adj, common, t - 2)
+        return find_clique(g.adj, common, f.size - 2) is not None
     gp = g.with_edge(u, v)
     pat = f.to_graph()
     for a in range(pat.n):
         for b in bits(pat.adj[a]):
             if b < a:
                 continue
-            if _find_embedding(gp, pat, {a: u, b: v}) is not None:
+            if embed(gp, pat, {a: u, b: v}, first=True) is not None:
                 return True
-            if _find_embedding(gp, pat, {a: v, b: u}) is not None:
+            if embed(gp, pat, {a: v, b: u}, first=True) is not None:
                 return True
-    return False
-
-
-def _mask_has_clique(adj, cand: int, size: int) -> bool:
-    if size == 0:
-        return True
-    if cand.bit_count() < size:
-        return False
-    m = cand
-    while m:
-        low = m & -m
-        m ^= low
-        v = low.bit_length() - 1
-        if _mask_has_clique(adj, adj[v] & m, size - 1):
-            return True
     return False
 
 

@@ -32,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .canon import canonical_raw
-from .counting import count_pattern
+from .counting import count_pattern, embed, find_clique
 from .errors import DomainError, NoneExistError
 from .graph import Graph, bits, encode_graph6
 from .patterns import PatternSpec, is_connected
@@ -84,21 +84,6 @@ def _star_cap(forbidden: tuple[PatternSpec, ...]) -> int | None:
     return min(caps) if caps else None
 
 
-def _mask_has_clique(adj, cand: int, size: int) -> bool:
-    if size <= 0:
-        return True
-    if cand.bit_count() < size:
-        return False
-    m = cand
-    while m:
-        low = m & -m
-        m ^= low
-        v = low.bit_length() - 1
-        if _mask_has_clique(adj, adj[v] & m, size - 1):
-            return True
-    return False
-
-
 def _child_violates(adj_child, k: int, forbidden) -> bool:
     """Does the child contain a forbidden pattern through the new vertex k?
 
@@ -108,13 +93,12 @@ def _child_violates(adj_child, k: int, forbidden) -> bool:
         if f.kind == "star":
             continue  # handled by the degree cap
         if f.kind == "clique":
-            if _mask_has_clique(adj_child, adj_child[k], f.size - 1):
+            if find_clique(adj_child, adj_child[k], f.size - 1) is not None:
                 return True
         else:
             g = Graph(k + 1, adj_child)
             fg = f.to_graph()
-            from .saturation import _find_embedding
-            if any(_find_embedding(g, fg, {pv: k}) is not None
+            if any(embed(g, fg, {pv: k}, first=True) is not None
                    for pv in range(fg.n)):
                 return True
     return False
@@ -238,9 +222,11 @@ def _effective(n: int, constraints: SearchConstraints):
 
 
 def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints(),
-                      hard_cap: int = HARD_CAP):
+                      hard_cap: int = HARD_CAP, workers: int = 1):
     """One canonically labeled representative per isomorphism class of
-    n-vertex graphs satisfying the constraints, as (adj, code) pairs."""
+    n-vertex graphs satisfying the constraints, as code-sorted (adj, code)
+    pairs.  With several workers, the levels past the first wide enough
+    to split are grown in a process pool; the result is the same."""
     if n < 1:
         raise DomainError("enumeration needs n >= 1")
     if n > hard_cap:
@@ -248,11 +234,26 @@ def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints
                           code="cap")
     cap, forb = _effective(n, constraints)
     level = _base_level()
-    for k in range(1, n):
+    k = 1
+    while k < n and (workers <= 1 or len(level) < 2 * workers):
         level = _grow_level(level, k, cap, forb)
+        k += 1
+    if k < n:
+        args = [(level[i::workers], k, n, cap, forb) for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_worker_expand, args))
+        level = sorted((item for part in parts for item in part),
+                       key=lambda item: item[1])
     if constraints.connected_only:
         level = [(adj, code) for adj, code in level
                  if is_connected(Graph(n, adj))]
+    return level
+
+
+def _worker_expand(args):
+    level, k_from, n, cap, forb = args
+    for k in range(k_from, n):
+        level = _grow_level(level, k, cap, forb)
     return level
 
 
@@ -298,7 +299,7 @@ def saturated_classes(n: int, f: PatternSpec,
             f"(pattern needs {f.order} vertices; only the complete graph "
             f"is vacuously saturated below that)")
     gen = _auto_constraints(f, constraints, auto_prune)
-    classes = _enumerate_parallel(n, gen, workers, hard_cap)
+    classes = enumerate_classes(n, gen, hard_cap, workers)
     sat = []
     for adj, code in classes:
         g = Graph(n, adj)
@@ -324,48 +325,6 @@ def _saturated_quick(g: Graph, f: PatternSpec) -> bool:
 
 def clear_cache():
     _SAT_CACHE.clear()
-
-
-# -- parallel enumeration ----------------------------------------------------
-
-
-def _worker_expand(args):
-    chunk, k_from, n, cap, forb_names = args
-    from .patterns import parse_pattern
-    forb = tuple(parse_pattern(s) for s in forb_names)
-    level = chunk
-    for k in range(k_from, n):
-        level = _grow_level(level, k, cap, forb)
-    return level
-
-
-def _enumerate_parallel(n: int, constraints: SearchConstraints, workers: int,
-                        hard_cap: int):
-    if workers <= 1 or n <= 3:
-        return enumerate_classes(n, constraints, hard_cap)
-    if n > hard_cap:
-        raise DomainError(f"n={n} above the desk-scale cap {hard_cap}",
-                          code="cap")
-    cap, forb = _effective(n, constraints)
-    # grow serially until there is enough width to split
-    level = _base_level()
-    k = 1
-    while k < n and len(level) < 2 * workers:
-        level = _grow_level(level, k, cap, forb)
-        k += 1
-    if k >= n:
-        out = level
-    else:
-        chunks = [level[i::workers] for i in range(workers)]
-        forb_names = [str(f) for f in forb]
-        args = [(chunk, k, n, cap, forb_names) for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_worker_expand, args))
-        out = [item for part in parts for item in part]
-        out.sort(key=lambda item: item[1])
-    if constraints.connected_only:
-        out = [(adj, code) for adj, code in out if is_connected(Graph(n, adj))]
-    return out
 
 
 # -- oracle operations --------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 
 from .errors import DomainError
 
@@ -55,18 +55,11 @@ def gen_binom(x, k: int):
         num = 1
         for i in range(k):
             num *= x - i
-        return num // _factorial(k)
+        return num // factorial(k)
     prod = 1.0
     for i in range(k):
         prod *= x - i
-    return prod / _factorial(k)
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    return prod / factorial(k)
 
 
 def sr_kr_formula(t: int, n: int, m: int, r: int) -> int:

@@ -18,7 +18,7 @@ from satgraph.saturation import (contains_copy, creates_copy,
 from satgraph.search import exists_saturated_with, satnum_exact, tstar_scan
 from satgraph.staropt import (delta, m0, m0_estimate, m0_lower_bounds,
                               satnum_star_star, tie_square_scan, tie_ts, xbar)
-from satgraph import constructions as cons
+from satgraph import bounds, constructions as cons
 
 
 def test_criterion_01_star_star_oracle_equivalence():
@@ -119,7 +119,7 @@ def test_criterion_07_constructions_saturated():
     for r in (3, 4):
         for t in range(3, 7):
             for c in range(r - 1):
-                lo = max(t + 1, cons.partite_threshold_n1(r, t, c))
+                lo = max(t + 1, bounds.partite_threshold(r, t, c))
                 for n in range(lo, lo + 6):
                     g, parts = cons.partite_saturated(n, r, t, c)
                     assert g.n == n

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from satgraph.cli import run
 from satgraph.graph import decode_graph6, encode_graph6
 from satgraph import constructions as cons
@@ -188,3 +190,45 @@ def test_certify_malformed_line(tmp_path, capsys):
     assert code == 3
     blob = json.loads(out.strip().splitlines()[-1])
     assert "line 2" in blob["error"]["message"]
+
+
+def test_workers_env_not_an_integer_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SATGRAPH_WORKERS", "x")
+    code, out, err = invoke(capsys, "scan", "tstar", "--max-n", "3")
+    assert code == 2 and out == "" and "workers" in err
+
+
+def test_workers_below_one_is_usage_error(capsys):
+    for value in ("0", "-3"):
+        for argv in (["satnum", "exact", "--n", "5", "--forbid", "K3",
+                      "--count", "S1"], ["scan", "tstar", "--max-n", "3"],
+                     ["certify", "--grid", "grid.txt"]):
+            code, out, err = invoke(capsys, *argv, "--workers", value)
+            assert code == 2 and out == "" and "workers" in err, argv
+
+
+def test_missing_graph_file_is_io_error(tmp_path, capsys):
+    code, out, _ = invoke(capsys, "count", "--graph", f"@{tmp_path}/none.g6",
+                          "--pattern", "K3")
+    assert code == 3 and payload(out)["error"]["code"] == "io"
+    code, out, _ = invoke(capsys, "certify", "--grid", str(tmp_path / "none"))
+    assert code == 3 and payload(out)["error"]["code"] == "io"
+
+
+def test_directory_as_graph_file_is_io_error(tmp_path, capsys):
+    code, out, _ = invoke(capsys, "count", "--graph", f"@{tmp_path}",
+                          "--pattern", "K3")
+    assert code == 3 and payload(out)["error"]["code"] == "io"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["construct", "split", "--t", "4"], "--n"),
+    (["construct", "wt", "--t", "4"], "--sizes"),
+    (["construct", "wt", "--t", "4", "--sizes", "1,x,1,1,1"], "--sizes"),
+    (["bounds", "ehm", "--n", "5"], "--t"),
+    (["bounds", "kt-threshold"], "--pattern"),
+    (["bounds", "partite-smooth", "--r", "4", "--t", "5"], "--c"),
+])
+def test_missing_family_flag_is_usage_error(capsys, argv, flag):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == "" and flag in err

@@ -3,8 +3,9 @@
 import pytest
 
 from satgraph.counting import (count_cliques, count_cycles,
-                               count_independent_sets, count_paths,
-                               count_stars, count_tree, independence_number,
+                               count_embeddings, count_independent_sets,
+                               count_paths, count_stars, count_tree, embed,
+                               find_clique, independence_number,
                                tree_automorphisms)
 from satgraph.errors import DomainError
 from satgraph.graph import (complete_graph, cycle_graph, empty_graph, join,
@@ -174,3 +175,43 @@ def test_monotone_under_edge_addition(rng):
         bigger = g.with_edge(u, v)
         for p in pats:
             assert count_pattern(bigger, p) >= count_pattern(g, p)
+
+
+def test_pinned_first_hit_agrees_with_count(rng):
+    patterns = [path_graph(3), path_graph(4), star_graph(3), cycle_graph(4),
+                complete_graph(3), cons.t_star()]
+    for n in (5, 6, 7, 8):
+        g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        for p in patterns:
+            pins = [{}] + [{0: w} for w in range(n)]
+            pins += [{a: u, b: v} for a, b in p.edges() for u, v in g.edges()]
+            by_root = 0
+            for pin in pins:
+                count = embed(g, p, pin)
+                hit = embed(g, p, pin, first=True)
+                assert (hit is None) == (count == 0)
+                if len(pin) == 1:
+                    by_root += count
+                if hit is None:
+                    continue
+                assert len(set(hit)) == p.n and all(0 <= w < n for w in hit)
+                assert all(g.has_edge(hit[a], hit[b]) for a, b in p.edges())
+                assert all(hit[a] == w for a, w in pin.items())
+            # pinning vertex 0 everywhere partitions the unpinned maps
+            assert by_root == count_embeddings(g, p)
+
+
+def test_find_clique_agrees_with_count(rng):
+    for n in (6, 8, 10):
+        g = random_graph(rng, n, 0.5)
+        for cand in (range(n), range(0, n, 2), range(n // 2, n)):
+            mask = sum(1 << v for v in cand)
+            sub = g.induced(list(cand))
+            for r in range(1, 6):
+                hit = find_clique(g.adj, mask, r)
+                assert (hit is not None) == (count_cliques(sub, r) > 0)
+                if hit is not None:
+                    assert list(hit) == sorted(set(hit)) and len(hit) == r
+                    assert all(mask >> v & 1 for v in hit)
+                    assert all(g.has_edge(u, v) for u in hit for v in hit
+                               if u != v)

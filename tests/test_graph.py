@@ -7,7 +7,7 @@ from satgraph.graph import (blow_up, build_graph, combine, complement,
                             complete_graph, cycle_graph, decode_graph6,
                             disjoint_union, empty_graph, encode_graph6, join,
                             from_adjacency_json, path_graph,
-                            to_adjacency_json)
+                            to_adjacency_json, Graph)
 from satgraph.canon import are_isomorphic
 from satgraph.counting import count_cliques
 from satgraph import constructions as cons
@@ -157,3 +157,11 @@ def test_immutability_of_edge_ops():
     assert not g.has_edge(0, 2) and g2.has_edge(0, 2)
     g3 = g2.without_edge(0, 2)
     assert g3 == g
+
+
+@pytest.mark.parametrize("n, adj", [(3, [2, 0, 0]), (2, [1, 0]), (2, [4, 0])],
+                         ids=["one-way-edge", "loop", "bit-above-n"])
+def test_constructor_rejects_bad_adjacency(n, adj):
+    with pytest.raises(DomainError) as exc:
+        Graph(n, adj)
+    assert exc.value.code == "adjacency"

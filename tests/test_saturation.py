@@ -3,6 +3,7 @@
 import pytest
 
 from satgraph.canon import are_isomorphic
+from satgraph.counting import count_cliques, embed
 from satgraph.errors import DomainError
 from satgraph.graph import (complete_graph, cycle_graph, disjoint_union,
                             empty_graph, join)
@@ -205,3 +206,38 @@ def test_certificate_json_shape():
     blob = cert.to_json()
     assert blob["saturated"] is True and blob["pattern"] == "S5"
     assert isinstance(blob["graph"], str) and blob["witness"] is None
+
+
+def test_anchored_first_hit_respects_the_added_edge(rng):
+    """The pinned first-hit maps behind creates_copy use the new edge."""
+    pats = [parse_pattern("P4"), parse_pattern("C5"),
+            tree_pattern(cons.t_star())]
+    for n in (5, 6, 7):
+        for _ in range(10):
+            g = random_graph(rng, n, rng.choice([0.25, 0.5, 0.75]))
+            for f in pats:
+                pat = f.to_graph()
+                for u, v in g.non_edges():
+                    gp = g.with_edge(u, v)
+                    for a, b in pat.edges():
+                        pin = {a: u, b: v}
+                        hit = embed(gp, pat, pin, first=True)
+                        assert (hit is None) == (embed(gp, pat, pin) == 0)
+                        if hit is None:
+                            continue
+                        assert hit[a] == u and hit[b] == v
+                        assert len(set(hit)) == pat.n
+                        assert all(gp.has_edge(hit[x], hit[y])
+                                   for x, y in pat.edges())
+
+
+def test_clique_witness_agrees_with_clique_count(rng):
+    for n in (5, 7, 9):
+        for _ in range(6):
+            g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+            for r in range(1, 6):
+                hit = contains_copy(g, clique(r))
+                assert (hit is not None) == (count_cliques(g, r) > 0)
+                if hit is not None:
+                    assert all(g.has_edge(u, v) for u in hit for v in hit
+                               if u != v)
