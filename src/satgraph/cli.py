@@ -18,7 +18,7 @@ from . import __version__
 from . import bounds as bnd
 from . import constructions as cons
 from . import staropt
-from .errors import DomainError, SplitPathFreeError
+from .errors import DomainError, FormatError, SplitPathFreeError
 from .graph import Graph, decode_graph6, encode_graph6, to_adjacency_json
 from .patterns import parse_pattern
 from .saturation import is_family_saturated, is_saturated
@@ -125,10 +125,18 @@ def _sizes(text: str) -> str:
     return text
 
 
+def _read_text(path: str) -> str:
+    """A file's text; bytes that are not UTF-8 are a format error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}")
+
+
 def _read_graph(text: str) -> Graph:
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
+        text = _read_text(text[1:]).strip()
     return decode_graph6(text)
 
 
@@ -270,9 +278,7 @@ def _certify(args) -> tuple[dict, bool]:
     from .staropt import satnum_star_star
     entries = []
     mismatches = []
-    with open(args.grid, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_text(args.grid).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

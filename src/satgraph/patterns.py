@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DomainError, FormatError
 from .graph import (Graph, complete_graph, cycle_graph, decode_graph6,
@@ -50,6 +51,12 @@ class PatternSpec:
             raise DomainError(f"unknown pattern kind {self.kind!r}")
 
     def to_graph(self) -> Graph:
+        """The pattern as a graph, built once per instance."""
+        return self._graph
+
+    @cached_property
+    def _graph(self) -> Graph:
+        # cached in the instance dict, outside the compared and hashed fields
         if self.kind == "clique":
             return complete_graph(self.size)
         if self.kind == "star":
@@ -114,7 +121,11 @@ def graph_pattern(g: Graph) -> PatternSpec:
 def parse_pattern(text: str) -> PatternSpec:
     m = _SIMPLE.match(text)
     if m:
-        letter, num = m.group(1), int(m.group(2))
+        letter = m.group(1)
+        try:
+            num = int(m.group(2))
+        except ValueError:  # beyond int()'s digit limit
+            raise FormatError("pattern parameter has too many digits")
         return {"K": clique, "S": star, "P": path, "C": cycle}[letter](num)
     if text.startswith("T:"):
         return tree_pattern(decode_graph6(text[2:]))

@@ -1,19 +1,27 @@
 """Isomorphism-free exhaustive search over small graphs.
 
 Enumeration is by vertex augmentation with a canonical-deletion parent
-test: a child C built from parent P by attaching a new vertex v is kept
-only when deleting C's canonical deletion vertex w* lands back in P's
-isomorphism class.  w* is chosen as the vertex minimizing the invariant
-(degree, sorted neighbor degrees), tie-broken by canonical position, so
-most candidates resolve with no canonical-form computation at all:
+test (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+1998).  A child C is a parent P plus a vertex k with neighborhood mask S;
+it is kept only when deleting C's canonical deletion vertex w* lands back
+in P's class.  w* minimizes the invariant (degree, sorted neighbor
+degrees), tie-broken by canonical position.
 
-  * if v is not an invariant minimizer, reject;
-  * if it is the unique minimizer, accept;
-  * otherwise compare canonical codes of C - v and C - w*.
+What depends on P alone is decided on the mask, before C is built.  With
+delta the minimum degree of P, cap the degree cap and K_t the smallest
+forbidden clique, S is tried only when |S| <= min(cap, delta + 1), when S
+holds every minimum-degree vertex of P if |S| = delta + 1 (so k has
+minimum degree in C), and when S spans no K_{t-1} (so C has no K_t).
+Forbidden stars fold into the cap; other patterns are embedded in C
+through k.  One canonical-deletion check remains: reject if k is not an
+invariant minimizer, accept if it is the only one, and otherwise accept
+when w* is k or C - w* has P's canonical code.
 
 Isomorphic children of one parent can both pass (pseudo-similar
 deletions), so accepted children are deduplicated per parent by
-canonical code.  Each class therefore appears exactly once overall.
+canonical code; masks run in descending submask order and the first one
+accepted gives the class its representative.  Each class therefore
+appears exactly once overall.
 
 Constraints enforced during generation must be hereditary and
 label-invariant: degree caps and monotone forbidden subgraphs qualify
@@ -29,7 +37,7 @@ edge to check), which carries no structural content.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .canon import canonical_raw
 from .counting import count_pattern, embed, find_clique
@@ -51,6 +59,12 @@ class SearchConstraints:
         return (self.max_degree,
                 tuple(sorted(str(f) for f in self.forbidden)),
                 self.connected_only)
+
+    def with_forbidden(self, f: PatternSpec) -> SearchConstraints:
+        """These constraints with f forbidden as well."""
+        if f in self.forbidden:
+            return self
+        return replace(self, forbidden=self.forbidden + (f,))
 
 
 @dataclass
@@ -79,49 +93,42 @@ class SearchReport:
 # -- generation-time constraint machinery -----------------------------------
 
 
-def _star_cap(forbidden: tuple[PatternSpec, ...]) -> int | None:
-    caps = [f.size - 1 for f in forbidden if f.kind == "star"]
-    return min(caps) if caps else None
-
-
 def _child_violates(adj_child, k: int, forbidden) -> bool:
     """Does the child contain a forbidden pattern through the new vertex k?
 
     Parents are pattern-free by induction, so anchoring at k is a full
     containment test."""
-    for f in forbidden:
-        if f.kind == "star":
-            continue  # handled by the degree cap
-        if f.kind == "clique":
-            if find_clique(adj_child, adj_child[k], f.size - 1) is not None:
-                return True
-        else:
-            g = Graph(k + 1, adj_child)
-            fg = f.to_graph()
-            if any(embed(g, fg, {pv: k}, first=True) is not None
-                   for pv in range(fg.n)):
-                return True
-    return False
+    g = Graph(k + 1, adj_child)
+    return any(embed(g, f.to_graph(), {pv: k}, first=True) is not None
+               for f in forbidden for pv in range(f.order))
 
 
-def _grow_level(parents, k: int, max_degree, forbidden):
+def _grow_level(parents, k: int, max_degree, clique, forbidden):
     """All (k+1)-vertex classes obtainable from the k-vertex classes.
 
     parents: list of (adj_tuple, code); returns the same shape,
-    sorted by code.
+    sorted by code.  clique is the order of the smallest forbidden
+    clique or None; forbidden holds the patterns left to embed.
     """
     out = []
     cap = max_degree if max_degree is not None and max_degree <= k else k + 1
     for adjP, codeP in parents:
         degP = [a.bit_count() for a in adjP]
-        allowed = 0
+        dmin = min(degP)
+        top = min(cap, dmin + 1)
+        allowed = low = 0
         for v in range(k):
             if degP[v] < cap:
                 allowed |= 1 << v
+            if degP[v] == dmin:
+                low |= 1 << v
         seen: set[bytes] = set()
         subset = allowed
         while True:  # iterate all submasks of `allowed`, including 0
-            if subset.bit_count() <= cap:
+            size = subset.bit_count()
+            if (size <= top and (size <= dmin or subset & low == low)
+                    and (clique is None
+                         or find_clique(adjP, subset, clique - 1) is None)):
                 child = _try_child(adjP, codeP, degP, k, subset, forbidden)
                 if child is not None:
                     code = child[1]
@@ -136,17 +143,15 @@ def _grow_level(parents, k: int, max_degree, forbidden):
 
 
 def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden):
-    """Parent test for the child P + new vertex with neighborhood nmask."""
+    """Parent test for the child P + new vertex k with neighborhood nmask,
+    a mask that already gives k minimum degree in the child."""
     adj_child = tuple(a | (1 << k) if nmask >> v & 1 else a
                       for v, a in enumerate(adjP)) + (nmask,)
     if forbidden and _child_violates(adj_child, k, forbidden):
         return None
     n = k + 1
     deg = [degP[v] + (nmask >> v & 1) for v in range(k)] + [nmask.bit_count()]
-    dmin = min(deg)
-    if deg[k] != dmin:
-        return None
-    argmin = [v for v in range(n) if deg[v] == dmin]
+    argmin = [v for v in range(n) if deg[v] == deg[k]]
     if len(argmin) > 1:
         # second invariant layer: sorted neighbor degrees
         prof = {v: sorted(deg[u] for u in bits(adj_child[v])) for v in argmin}
@@ -154,51 +159,14 @@ def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden):
         if prof[k] != pmin:
             return None
         argmin = [v for v in argmin if prof[v] == pmin]
-    if len(argmin) == 1:
-        code, lab, _ = canonical_raw(n, adj_child)
-        return adj_child, code
-    # ambiguous minimizers: canonical tie-break
-    code, lab, auts = canonical_raw(n, adj_child)
-    pos = [0] * n
-    for p, v in enumerate(lab):
-        pos[v] = p
-    wstar = max(argmin, key=lambda v: pos[v])
-    if wstar == k:
-        return adj_child, code
-    if _same_orbit(auts, wstar, k):
-        return adj_child, code
-    if _deleted_code(adj_child, n, wstar) == codeP:
-        return adj_child, code
-    return None
-
-
-def _same_orbit(auts, u: int, v: int) -> bool:
-    if not auts:
-        return False
-    seen = {u}
-    frontier = [u]
-    while frontier:
-        x = frontier.pop()
-        for sigma in auts:
-            y = sigma[x]
-            if y == v:
-                return True
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return False
-
-
-def _deleted_code(adj, n: int, x: int) -> bytes:
-    keep = [v for v in range(n) if v != x]
-    sub = []
-    for i, v in enumerate(keep):
-        row = 0
-        for j, u in enumerate(keep):
-            if adj[v] >> u & 1:
-                row |= 1 << j
-        sub.append(row)
-    return canonical_raw(n - 1, sub)[0]
+    code, lab, _ = canonical_raw(n, adj_child)
+    if len(argmin) > 1:
+        # ambiguous minimizers: w* is the one placed last canonically
+        wstar = max(argmin, key=lab.index)
+        if wstar != k and canonical_raw(
+                k, Graph(n, adj_child).delete_vertex(wstar).adj)[0] != codeP:
+            return None
+    return adj_child, code
 
 
 def _base_level():
@@ -207,39 +175,45 @@ def _base_level():
 
 
 def _effective(n: int, constraints: SearchConstraints):
-    """Merge the explicit degree cap with caps implied by forbidden stars;
-    caps that cannot bind are dropped."""
-    if constraints.max_degree is not None and constraints.max_degree >= n:
-        raise DomainError("max_degree cap must be < n")
-    cap = constraints.max_degree
-    star = _star_cap(constraints.forbidden)
-    if star is not None:
-        cap = star if cap is None else min(cap, star)
+    """The degree cap, forbidden stars included (None when it cannot
+    bind), the order of the smallest forbidden clique (None without one)
+    and the forbidden patterns left to embed."""
+    max_degree = constraints.max_degree
+    if max_degree is not None and not 0 <= max_degree < n:
+        raise DomainError(f"max_degree cap must be in 0..{n - 1}")
+    forbidden = constraints.forbidden
+    caps = [f.size - 1 for f in forbidden if f.kind == "star"]
+    if max_degree is not None:
+        caps.append(max_degree)
+    cap = min(caps, default=None)
     if cap is not None and cap >= n - 1:
         cap = None
-    forb = tuple(f for f in constraints.forbidden if f.kind != "star")
-    return cap, forb
+    clique = min((f.size for f in forbidden if f.kind == "clique"),
+                 default=None)
+    rest = tuple(f for f in forbidden if f.kind not in ("star", "clique"))
+    return cap, clique, rest
 
 
 def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints(),
-                      hard_cap: int = HARD_CAP, workers: int = 1):
+                      workers: int = 1):
     """One canonically labeled representative per isomorphism class of
     n-vertex graphs satisfying the constraints, as code-sorted (adj, code)
     pairs.  With several workers, the levels past the first wide enough
     to split are grown in a process pool; the result is the same."""
     if n < 1:
         raise DomainError("enumeration needs n >= 1")
-    if n > hard_cap:
-        raise DomainError(f"n={n} above the desk-scale cap {hard_cap}",
+    if n > HARD_CAP:
+        raise DomainError(f"n={n} above the desk-scale cap {HARD_CAP}",
                           code="cap")
-    cap, forb = _effective(n, constraints)
+    cap, clique, forb = _effective(n, constraints)
     level = _base_level()
     k = 1
     while k < n and (workers <= 1 or len(level) < 2 * workers):
-        level = _grow_level(level, k, cap, forb)
+        level = _grow_level(level, k, cap, clique, forb)
         k += 1
     if k < n:
-        args = [(level[i::workers], k, n, cap, forb) for i in range(workers)]
+        args = [(level[i::workers], k, n, cap, clique, forb)
+                for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_worker_expand, args))
         level = sorted((item for part in parts for item in part),
@@ -251,16 +225,15 @@ def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints
 
 
 def _worker_expand(args):
-    level, k_from, n, cap, forb = args
+    level, k_from, n, cap, clique, forb = args
     for k in range(k_from, n):
-        level = _grow_level(level, k, cap, forb)
+        level = _grow_level(level, k, cap, clique, forb)
     return level
 
 
-def enumerate_graphs(n: int, constraints: SearchConstraints = SearchConstraints(),
-                     hard_cap: int = HARD_CAP):
+def enumerate_graphs(n: int, constraints: SearchConstraints = SearchConstraints()):
     """Stream Graph values, one per isomorphism class."""
-    for adj, _ in enumerate_classes(n, constraints, hard_cap):
+    for adj, _ in enumerate_classes(n, constraints):
         yield Graph(n, adj)
 
 
@@ -269,22 +242,9 @@ def enumerate_graphs(n: int, constraints: SearchConstraints = SearchConstraints(
 _SAT_CACHE: dict[tuple, tuple] = {}
 
 
-def _auto_constraints(f: PatternSpec, constraints: SearchConstraints,
-                      auto_prune: bool) -> SearchConstraints:
-    if not auto_prune:
-        return constraints
-    forb = constraints.forbidden
-    if f not in forb:
-        forb = forb + (f,)
-    return SearchConstraints(max_degree=constraints.max_degree,
-                             forbidden=forb,
-                             connected_only=constraints.connected_only)
-
-
 def saturated_classes(n: int, f: PatternSpec,
                       constraints: SearchConstraints = SearchConstraints(),
-                      auto_prune: bool = True, workers: int = 1,
-                      hard_cap: int = HARD_CAP):
+                      auto_prune: bool = True, workers: int = 1):
     """All f-saturated classes on n vertices under the constraints.
 
     Returns (graphs, examined) where graphs is a code-sorted list of
@@ -298,8 +258,8 @@ def saturated_classes(n: int, f: PatternSpec,
             f"no {f}-saturated graph on {n} vertices: none exist "
             f"(pattern needs {f.order} vertices; only the complete graph "
             f"is vacuously saturated below that)")
-    gen = _auto_constraints(f, constraints, auto_prune)
-    classes = enumerate_classes(n, gen, hard_cap, workers)
+    gen = constraints.with_forbidden(f) if auto_prune else constraints
+    classes = enumerate_classes(n, gen, workers)
     sat = []
     for adj, code in classes:
         g = Graph(n, adj)
@@ -334,11 +294,10 @@ WITNESS_CAP = 64
 
 def satnum_exact(n: int, forbid: PatternSpec, count: PatternSpec,
                  constraints: SearchConstraints = SearchConstraints(),
-                 auto_prune: bool = True, workers: int = 1,
-                 hard_cap: int = HARD_CAP) -> SearchReport:
+                 auto_prune: bool = True, workers: int = 1) -> SearchReport:
     """Exact minimum of count-copies over forbid-saturated n-vertex graphs."""
     sat, examined = saturated_classes(n, forbid, constraints, auto_prune,
-                                      workers, hard_cap)
+                                      workers)
     if not sat:
         raise NoneExistError(
             f"no {forbid}-saturated graph on {n} vertices under the given "
@@ -396,19 +355,16 @@ def _colorable(g: Graph, r: int) -> bool:
 
 def exists_saturated_with(n: int, forbid: PatternSpec, prop: tuple,
                           constraints: SearchConstraints = SearchConstraints(),
-                          workers: int = 1, hard_cap: int = HARD_CAP):
+                          workers: int = 1):
     """A forbid-saturated n-vertex graph with the extra property, or None.
 
     Returns the witness with the smallest canonical code, so reports do
     not depend on worker count."""
     gen = constraints
     if prop[0] == "k-free":
-        extra = PatternSpec("clique", prop[1])
-        if extra not in gen.forbidden:
-            gen = SearchConstraints(gen.max_degree, gen.forbidden + (extra,),
-                                    gen.connected_only)
+        gen = gen.with_forbidden(PatternSpec("clique", prop[1]))
     try:
-        sat, _ = saturated_classes(n, forbid, gen, True, workers, hard_cap)
+        sat, _ = saturated_classes(n, forbid, gen, True, workers)
     except NoneExistError:
         return None
     for g in sat:  # code-sorted
@@ -417,7 +373,7 @@ def exists_saturated_with(n: int, forbid: PatternSpec, prop: tuple,
     return None
 
 
-def tstar_scan(n_max: int, workers: int = 1, hard_cap: int = HARD_CAP) -> dict:
+def tstar_scan(n_max: int, workers: int = 1) -> dict:
     """For each n <= n_max, verify no triangle-free graph is saturated
     for the three-legs-of-length-two spider.
 
@@ -426,8 +382,8 @@ def tstar_scan(n_max: int, workers: int = 1, hard_cap: int = HARD_CAP) -> dict:
     ones and are reported separately as vacuous."""
     from .constructions import t_star
     from .patterns import clique, tree_pattern
-    if n_max > hard_cap:
-        raise DomainError(f"n_max={n_max} above cap {hard_cap}", code="cap")
+    if n_max > HARD_CAP:
+        raise DomainError(f"n_max={n_max} above cap {HARD_CAP}", code="cap")
     spider = tree_pattern(t_star())
     per_n = {}
     for n in range(1, n_max + 1):
@@ -436,7 +392,7 @@ def tstar_scan(n_max: int, workers: int = 1, hard_cap: int = HARD_CAP) -> dict:
                         "vacuous_complete": n <= 2}
             continue
         cons = SearchConstraints(forbidden=(clique(3),))
-        sat, _ = saturated_classes(n, spider, cons, True, workers, hard_cap)
+        sat, _ = saturated_classes(n, spider, cons, True, workers)
         per_n[n] = {"found": len(sat),
                     "witnesses": [encode_graph6(g) for g in sat[:WITNESS_CAP]],
                     "vacuous_complete": False}

@@ -232,3 +232,24 @@ def test_directory_as_graph_file_is_io_error(tmp_path, capsys):
 def test_missing_family_flag_is_usage_error(capsys, argv, flag):
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == "" and flag in err
+
+
+def test_non_utf8_graph_file_is_format_error(tmp_path, capsys):
+    path = tmp_path / "g.g6"
+    path.write_bytes(b"D\xff\xfe~w")
+    code, out, _ = invoke(capsys, "count", "--graph", f"@{path}",
+                          "--pattern", "K3")
+    assert code == 3 and payload(out)["error"]["code"] == "format"
+
+
+def test_non_utf8_grid_file_is_format_error(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_bytes(b"5 K3 S1\n\xff\xfe 6 K3 S1\n")
+    code, out, _ = invoke(capsys, "certify", "--grid", str(grid))
+    assert code == 3 and payload(out)["error"]["code"] == "format"
+
+
+def test_negative_max_degree_is_domain_error(capsys):
+    code, out, _ = invoke(capsys, "satnum", "exact", "--n", "6", "--forbid",
+                          "K3", "--count", "S1", "--max-degree", "-1")
+    assert code == 3 and payload(out)["error"]["code"] == "domain"

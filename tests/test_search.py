@@ -192,3 +192,36 @@ def test_report_shape():
     assert blob["n"] == 6 and blob["forbid"] == "S4" and blob["count"] == "S2"
     assert blob["witness_total"] >= len(blob["witnesses"]) >= 1
     assert blob["graphs_examined"] >= blob["saturated_found"] >= 1
+
+
+def test_triangle_free_counts_oeis_a006785():
+    counts = [len(enumerate_classes(n, SearchConstraints(forbidden=(clique(3),))))
+              for n in range(1, 10)]
+    assert counts == [1, 2, 3, 7, 14, 38, 107, 410, 1897]
+
+
+def test_only_smallest_forbidden_clique_prunes():
+    for n in range(1, 8):
+        both = SearchConstraints(forbidden=(clique(3), clique(5)))
+        alone = SearchConstraints(forbidden=(clique(3),))
+        assert enumerate_classes(n, both) == enumerate_classes(n, alone)
+
+
+def test_worker_determinism_clique_and_degree_cap():
+    cons_ = SearchConstraints(max_degree=4)
+    clear_cache()
+    seq = satnum_exact(8, clique(3), star(2), cons_)
+    clear_cache()
+    par = satnum_exact(8, clique(3), star(2), cons_, workers=2)
+    assert seq.to_json() | {"workers": 0} == par.to_json() | {"workers": 0}
+    clear_cache()
+
+
+def test_negative_max_degree_is_domain_error():
+    for call in (lambda: enumerate_classes(5, SearchConstraints(max_degree=-1)),
+                 lambda: satnum_exact(6, clique(3), star(1),
+                                      SearchConstraints(max_degree=-1))):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert exc.value.code == "domain"  # not a none-exist verdict
+    clear_cache()
