@@ -6,11 +6,17 @@ equitable ordered partition.  Two graphs get equal codes exactly when
 they are isomorphic (verified against a brute-force permutation check
 in the test suite for small orders).
 
-The search individualizes one vertex of the first non-singleton cell at
-a time, re-refines, and prunes with
-  * comparison of the fixed-prefix columns against the best full column
-    string found so far (re-checked at every node, so a best update in
-    one branch immediately tightens the others), and
+The search individualizes one vertex v of the first non-singleton cell
+at a time and re-refines with {v} as the only splitter.  That gives the
+same ordered partition as enqueueing every cell: the parent partition is
+equitable, so no parent cell splits anything, nor does the rest of v's
+cell once {v} has split every cell by adjacency to v.
+
+Each node extends its parent's prefix columns (one per leading singleton
+cell) by the columns of its new singletons only, and prunes by
+  * comparison of the prefix against the best full column string found
+    so far (re-checked at every node, so a best update in one branch
+    immediately tightens the others), and
   * orbits of automorphisms discovered when two leaves tie.
 
 Automorphisms found along the way are returned as a possibly incomplete
@@ -21,21 +27,23 @@ correctness decisions.
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graph import Graph, bits
 
 AdjRows = Sequence[int]
 
 
-def _refine(adj: AdjRows, cells: list[list[int]]) -> list[list[int]]:
+def _refine(adj: AdjRows, cells: list[list[int]],
+            queue: Iterable[int]) -> list[list[int]]:
     """Equitable refinement (1-dim WL with cell splitting).
 
-    Every newly created cell is enqueued as a splitter, which is enough
-    for the fixpoint to be equitable.  Deterministic: split parts are
-    ordered by increasing neighbor count.
+    ``queue`` holds the splitter masks that may split a cell; every new
+    cell is enqueued too, so the fixpoint is equitable.  Entries of
+    ``cells`` are replaced, never changed in place, so callers may share
+    cell lists.  Split parts are ordered by increasing neighbor count.
     """
-    queue = deque(sum(1 << v for v in c) for c in cells)
+    queue = deque(queue)
     while queue:
         smask = queue.popleft()
         i = 0
@@ -48,8 +56,7 @@ def _refine(adj: AdjRows, cells: list[list[int]]) -> list[list[int]]:
                 if len(groups) > 1:
                     parts = [groups[c] for c in sorted(groups)]
                     cells[i:i + 1] = parts
-                    for p in parts:
-                        queue.append(sum(1 << v for v in p))
+                    queue.extend(sum(1 << v for v in p) for p in parts)
                     i += len(parts)
                     continue
             i += 1
@@ -60,7 +67,8 @@ def _initial_cells(n: int, adj: AdjRows) -> list[list[int]]:
     groups: dict[int, list[int]] = {}
     for v in range(n):
         groups.setdefault(adj[v].bit_count(), []).append(v)
-    return _refine(adj, [groups[d] for d in sorted(groups)])
+    cells = [groups[d] for d in sorted(groups)]
+    return _refine(adj, cells, [sum(1 << v for v in c) for c in cells])
 
 
 class _Canonizer:
@@ -71,69 +79,50 @@ class _Canonizer:
         self.best_lab: list[int] | None = None
         self.auts: list[tuple[int, ...]] = []
         self._aut_seen: set[tuple[int, ...]] = set()
+        # placed vertex -> prefix position; shared down the tree because a
+        # node writes only the entries of its own new singletons
+        self._pos = [0] * n
 
     def run(self):
         n = self.n
         if n == 0:
             return b"\x00\x00", (), []
-        self._search(_initial_cells(n, self.adj), [])
+        self._search(_initial_cells(n, self.adj), [], [], 0)
         code = n.to_bytes(2, "big") + b"".join(
             c.to_bytes((n + 7) // 8, "big") for c in self.best_cols)
         return code, tuple(self.best_lab), self.auts
 
     # -- internals ---------------------------------------------------------
 
-    def _prefix_cols(self, cells: list[list[int]], k: int):
-        """Columns for the first k (singleton) cells, compared to best.
-
-        Returns (cols, verdict) with verdict -1/0/+1 meaning the prefix is
-        already smaller than / tied with / larger than the current best.
-        """
-        adj = self.adj
-        best = self.best_cols
-        pos = {}
-        cols = []
-        for j in range(k):
-            v = cells[j][0]
+    def _search(self, cells: list[list[int]], path: list[int],
+                cols: list[int], placed: int):
+        """Extend the parent's prefix ``cols`` (its singletons ``placed``)."""
+        adj, pos = self.adj, self._pos
+        cols = cols[:]
+        k = len(cols)
+        while k < len(cells) and len(cells[k]) == 1:
+            v = cells[k][0]
             col = 0
-            for u in bits(adj[v]):
-                p = pos.get(u)
-                if p is not None:
-                    col |= 1 << p
-            pos[v] = j
-            if best is not None:
-                b = best[j]
-                if col > b:
-                    return cols, 1
-                if col < b:
-                    return cols, -1
+            for u in bits(adj[v] & placed):
+                col |= 1 << pos[u]
             cols.append(col)
-        return cols, 0 if best is not None else -1
-
-    def _search(self, cells: list[list[int]], path: list[int]):
-        k = 0
-        for cell in cells:
-            if len(cell) != 1:
-                break
+            pos[v] = k
+            placed |= 1 << v
             k += 1
 
-        cols, verdict = self._prefix_cols(cells, k)
-        if verdict > 0:
+        best = self.best_cols
+        if best is not None and cols > best[:k]:
             return
 
         if k == len(cells):
-            if verdict < 0 and len(cols) < k:
-                cols, _ = self._full_cols(cells)
-            if self.best_cols is None or cols < self.best_cols:
-                self.best_cols = list(cols)
-                self.best_lab = [cell[0] for cell in cells]
-            elif cols == self.best_cols:
-                lab = [cell[0] for cell in cells]
-                sigma = [0] * self.n
-                for p in range(self.n):
-                    sigma[lab[p]] = self.best_lab[p]
-                sig = tuple(sigma)
-                if sig not in self._aut_seen and any(sigma[v] != v for v in range(self.n)):
+            lab = [cell[0] for cell in cells]
+            if best is None or cols < best:
+                self.best_cols, self.best_lab = cols, lab
+            elif cols == best and lab != self.best_lab:
+                # sigma[v] = best_lab[pos[v]]; a list, unlike a generator,
+                # gives the tuple its exact size and keeps peak memory down
+                sig = tuple([self.best_lab[p] for p in pos])
+                if sig not in self._aut_seen:
                     self._aut_seen.add(sig)
                     self.auts.append(sig)
             return
@@ -151,43 +140,24 @@ class _Canonizer:
             return x
 
         absorbed = 0
-
-        def absorb():
-            nonlocal absorbed
+        for v in target:
             while absorbed < len(self.auts):
                 sigma = self.auts[absorbed]
                 absorbed += 1
                 if all(sigma[p] == p for p in path):
-                    for v in range(self.n):
-                        ra, rb = find(v), find(sigma[v])
+                    for u in range(self.n):
+                        ra, rb = find(u), find(sigma[u])
                         if ra != rb:
                             parent[ra] = rb
-
-        absorb()
-        for v in target:
-            absorb()
             rv = find(v)
             if any(find(u) == rv for u in tried):
                 continue
             tried.append(v)
             rest = [u for u in target if u != v]
-            child = [list(c) for c in cells[:k]] + [[v], rest] + [list(c) for c in cells[k + 1:]]
-            self._search(_refine(self.adj, child), path + [v])
+            child = cells[:k] + [[v], rest] + cells[k + 1:]
+            self._search(_refine(adj, child, [1 << v]), path + [v], cols,
+                         placed)
 
-    def _full_cols(self, cells):
-        adj = self.adj
-        pos = {}
-        cols = []
-        for j, cell in enumerate(cells):
-            v = cell[0]
-            col = 0
-            for u in bits(adj[v]):
-                p = pos.get(u)
-                if p is not None:
-                    col |= 1 << p
-            pos[v] = j
-            cols.append(col)
-        return cols, 0
 
 def canonical_raw(n: int, adj: AdjRows):
     """Canonical data for raw bitmask rows (hot path for the enumerator).

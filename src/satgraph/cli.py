@@ -8,6 +8,7 @@ strings, inline or as ``@file``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -162,12 +163,13 @@ def _emit(command: str, parameters: dict, result, started: float) -> None:
     print(json.dumps(report, sort_keys=True))
 
 
-def _parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, list[argparse.Action]]:
+    """The argument parser, built once per process, and its --workers
+    actions, whose default `run` sets from the environment on each call."""
     p = argparse.ArgumentParser(prog="satgraph",
                                 description="graph saturation toolkit")
-    # a string default goes through the type check like a typed value
-    workers = {"type": _workers,
-               "default": os.environ.get("SATGRAPH_WORKERS", "1")}
+    workers = []
     p.add_argument("--schema", action="store_true",
                    help="print the JSON schema and exit")
     sub = p.add_subparsers(dest="command")
@@ -197,7 +199,7 @@ def _parser() -> argparse.ArgumentParser:
     se.add_argument("--forbid", required=True)
     se.add_argument("--count", required=True)
     se.add_argument("--max-degree", type=int)
-    se.add_argument("--workers", **workers)
+    workers.append(se.add_argument("--workers", type=_workers))
     se.add_argument("--connected-only", action="store_true")
 
     m = sub.add_parser("m0", help="optimal clique size for the KR family")
@@ -217,14 +219,14 @@ def _parser() -> argparse.ArgumentParser:
     scsub = sc.add_subparsers(dest="what", required=True)
     st = scsub.add_parser("tstar")
     st.add_argument("--max-n", type=int, default=10)
-    st.add_argument("--workers", **workers)
+    workers.append(st.add_argument("--workers", type=_workers))
 
     ce = sub.add_parser("certify", help="oracle/formula comparison archive")
     ce.add_argument("--grid", required=True,
                     help="file of lines: <n> <forbid> <count>")
     ce.add_argument("--out", help="write the archive here instead of stdout")
-    ce.add_argument("--workers", **workers)
-    return p
+    workers.append(ce.add_argument("--workers", type=_workers))
+    return p, workers
 
 
 def _construct(args) -> dict:
@@ -320,7 +322,10 @@ def _certify(args) -> tuple[dict, bool]:
 
 
 def run(argv) -> int:
-    parser = _parser()
+    parser, workers = _parser()
+    # a string default goes through the type check like a typed value
+    for action in workers:
+        action.default = os.environ.get("SATGRAPH_WORKERS", "1")
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv)

@@ -1,10 +1,13 @@
 """Canonical forms against the brute-force permutation oracle."""
 
+import hashlib
+import random
 from itertools import permutations
 
-from satgraph.canon import are_isomorphic, canonical_form, canonical_graph
+from satgraph.canon import (are_isomorphic, canonical_form, canonical_graph,
+                            canonical_raw)
 from satgraph.graph import (build_graph, complete_graph, cycle_graph,
-                            empty_graph, path_graph)
+                            empty_graph, path_graph, star_graph)
 from satgraph import constructions as cons
 
 from conftest import all_labeled_graphs, brute_canonical, random_graph
@@ -90,3 +93,57 @@ def test_highly_symmetric_graphs_fast():
 def test_are_isomorphic_basics():
     assert are_isomorphic(cons.fig1(), complete_graph(3).relabel([0, 1, 2])) is False
     assert are_isomorphic(cycle_graph(6), cycle_graph(6).relabel([3, 1, 4, 0, 5, 2]))
+
+
+def _circulant(n, jumps):
+    return build_graph(n, {(min(i, (i + j) % n), max(i, (i + j) % n))
+                           for i in range(n) for j in jumps})
+
+
+def _golden_corpus():
+    """Seeded graphs on 1..10 vertices; symmetric ones in four labellings."""
+    rng = random.Random(4242)
+    petersen = build_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                           + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                           + [(i, i + 5) for i in range(5)])
+    cube = build_graph(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4)
+                           if v < v ^ b])
+    symmetric = [petersen, cube, cons.t_star(), cons.fig1(), cons.fig2()]
+    for n in range(1, 11):
+        symmetric += [empty_graph(n), complete_graph(n), path_graph(n),
+                      star_graph(n - 1)]
+        if n >= 3:
+            symmetric.append(cycle_graph(n))
+        if n >= 5:
+            symmetric += [_circulant(n, (1, 2)), _circulant(n, (1, n // 2))]
+        if n % 2 == 0:
+            half = n // 2
+            symmetric.append(build_graph(n, [(u, half + v) for u in range(half)
+                                             for v in range(half)]))
+            symmetric.append(build_graph(n, [(i, i + half)
+                                             for i in range(half)]))
+    corpus = []
+    for g in symmetric:
+        corpus.append(g)
+        for _ in range(3):
+            corpus.append(g.relabel(rng.sample(range(g.n), g.n)))
+    for n in range(1, 11):
+        for p in (0.15, 0.35, 0.5, 0.65, 0.85):
+            for _ in range(8):
+                g = random_graph(rng, n, p)
+                corpus += [g, g.relabel(rng.sample(range(n), n))]
+    return corpus
+
+
+# SHA-256 of repr((code, labelling, generators)) over _golden_corpus(), in
+# order, as produced by the full-queue refinement with per-node prefix
+# columns that preceded the incremental labeller.
+GOLDEN_DIGEST = ("209d28f4a21bb63153696e54fdb66d6"
+                 "9b99f429ee20c815bc54b5cf094a57df0")
+
+
+def test_canonical_raw_golden_digest():
+    h = hashlib.sha256()
+    for g in _golden_corpus():
+        h.update(repr(canonical_raw(g.n, g.adj)).encode())
+    assert h.hexdigest() == GOLDEN_DIGEST

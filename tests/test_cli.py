@@ -253,3 +253,17 @@ def test_negative_max_degree_is_domain_error(capsys):
     code, out, _ = invoke(capsys, "satnum", "exact", "--n", "6", "--forbid",
                           "K3", "--count", "S1", "--max-degree", "-1")
     assert code == 3 and payload(out)["error"]["code"] == "domain"
+
+
+def test_workers_env_read_on_every_run(capsys, monkeypatch):
+    argv = ["satnum", "exact", "--n", "3", "--forbid", "K3", "--count", "S1"]
+    monkeypatch.delenv("SATGRAPH_WORKERS", raising=False)
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and payload(out)["parameters"]["workers"] == 1
+    monkeypatch.setenv("SATGRAPH_WORKERS", "x")
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == "" and "workers" in err
+    monkeypatch.setenv("SATGRAPH_WORKERS", "2")
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and payload(out)["parameters"]["workers"] == 2
+    assert payload(out)["result"]["workers"] == 2

@@ -1,16 +1,23 @@
-"""Bounded property-based fuzzing of the text decoders.
+"""Bounded property-based fuzzing of the text decoders and the CLI.
 
 Every input string either decodes or raises DomainError (never another
 exception), and whatever decodes survives a round trip through its text
-form.  Runs are derandomized and keep no example database, so the suite
-stays reproducible; hypothesis still writes caches under `.hypothesis/`.
+form.  Every argument vector ends in a documented exit code, with a JSON
+report or error line whenever the code is 0 or 3.  Runs are derandomized
+and keep no example database, so the suite stays reproducible; hypothesis
+still writes caches under `.hypothesis/`.
 """
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from satgraph import cli
 from satgraph.errors import DomainError
 from satgraph.graph import Graph, decode_graph6, encode_graph6
 from satgraph.patterns import parse_pattern
@@ -86,3 +93,63 @@ def test_parse_pattern_parses_or_raises_domain_error(text):
     p = _decode_or_domain_error(parse_pattern, text)
     if p is not None:
         assert parse_pattern(str(p)) == p
+
+
+# each command path with the flags it takes; the searches get small orders
+# so that an example stays cheap
+SEARCHES = {("satnum", "exact"): "n forbid count max-degree workers "
+                                 "connected-only",
+            ("scan", "tstar"): "max-n workers"}
+COMMANDS = {**SEARCHES,
+            (): "schema", ("count",): "graph pattern",
+            ("check-sat",): "graph forbid", ("satnum", "star-star"): "n r t",
+            ("m0",): "n r t", ("tie-ts",): "max", ("certify",): "grid workers",
+            ("satnum",): "n", ("bogus",): "n",
+            **{("construct", f): e[1] for f, e in cli._FAMILIES.items()},
+            **{("bounds", b): e[1] for b, e in cli._BOUNDS.items()}}
+PATTERNS = st.one_of(
+    st.sampled_from(["K3", "K4", "S1", "S2", "S3", "P3", "P4", "C4", "T:Bg"]),
+    st.tuples(st.sampled_from("KSPCX"), st.integers(-2, 8)).map(
+        lambda t: f"{t[0]}{t[1]}"),
+    graphs(max_n=6).map(lambda g: "T:" + encode_graph6(g)),
+    graphs(max_n=6).map(lambda g: "G:" + encode_graph6(g)))
+VALUES = {"graph": graphs(max_n=8).map(encode_graph6),
+          "pattern": PATTERNS, "forbid": PATTERNS, "count": PATTERNS,
+          "sizes": st.sampled_from(["1,2,1,1,1", "2,2,2,2,2", "1,x", "1"]),
+          "grid": st.just("missing-grid.txt"),
+          "schema": st.just(None), "connected-only": st.just(None)}
+# misplaced tokens; no --out, which would write a file
+JUNK = st.sampled_from(["--n", "--t", "--workers", "--graph", "--forbid",
+                        "--bogus", "K3", "@missing.g6", "", "-"])
+MOSTLY = st.sampled_from([True] * 9 + [False])
+
+
+@st.composite
+def argvs(draw):
+    path = draw(st.sampled_from(sorted(COMMANDS)))
+    ints = st.integers(-2, 6 if path in SEARCHES else 8).map(str)
+    argv = list(path)
+    for flag in COMMANDS[path].split():
+        if draw(MOSTLY):  # most flags are given, most with a fitting value
+            value = draw(VALUES.get(flag, ints) if draw(MOSTLY)
+                         else st.one_of(VALUES.get(flag, ints), ints, JUNK))
+            argv += [f"--{flag}"] + ([] if value is None else [value])
+    if not draw(MOSTLY):
+        argv.append(draw(st.one_of(JUNK, ints)))
+    # one worker process at most: a pool per example would dominate
+    return [("1" if prev == "--workers" and tok.isdigit() else tok)
+            for prev, tok in zip([None] + argv, argv)]
+
+
+@settings(BOUNDED, max_examples=1000)
+@given(argvs())
+@example(["satnum", "exact", "--n", "6", "--forbid", "K3", "--count", "S1"])
+@example(["satnum", "exact", "--n", "6", "--forbid", "C4", "--count", "P3",
+          "--max-degree", "3", "--connected-only"])
+def test_cli_exits_with_documented_code(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.run(argv)
+    assert code in (0, 2, 3, 4)
+    if code in (0, 3):
+        json.loads(out.getvalue().strip().splitlines()[-1])

@@ -200,6 +200,11 @@ def test_triangle_free_counts_oeis_a006785():
     assert counts == [1, 2, 3, 7, 14, 38, 107, 410, 1897]
 
 
+def test_triangle_free_count_oeis_a006785_n10():
+    triangle_free = SearchConstraints(forbidden=(clique(3),))
+    assert len(enumerate_classes(10, triangle_free)) == 12172
+
+
 def test_only_smallest_forbidden_clique_prunes():
     for n in range(1, 8):
         both = SearchConstraints(forbidden=(clique(3), clique(5)))
