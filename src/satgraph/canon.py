@@ -19,9 +19,20 @@ cell) by the columns of its new singletons only, and prunes by
     immediately tightens the others), and
   * orbits of automorphisms discovered when two leaves tie.
 
-Automorphisms found along the way are returned as a possibly incomplete
-generator list; callers may use them only for work skipping, never for
-correctness decisions.
+The automorphisms found when a leaf ties with the best one generate all
+of Aut(G) (McKay 1981), and the enumerator relies on it: it tries one
+neighbourhood per orbit of these generators.  Let L be the best leaf,
+the first one reached with the least column string, and A_i the
+automorphisms fixing the first i vertices individualized on the path to
+L, so the last A_i is trivial.  At the i-th node of that path, take a
+child w in the A_i-orbit of the path's next vertex v.  Either w is
+searched: its subtree then holds a least-string leaf, which the search
+reaches (the prefix test never cuts it, and orbit pruning leaves a
+searched equivalent) after L, and the tie gives an automorphism in A_i
+sending w to v.  Or w is skipped because automorphisms found earlier
+that fix the path join it to a searched vertex.  Either way the found
+automorphisms move v over its whole A_i-orbit, so by induction from the
+leaf up they generate A_0 = Aut(G).
 """
 
 from __future__ import annotations

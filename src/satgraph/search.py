@@ -13,15 +13,32 @@ forbidden clique, S is tried only when |S| <= min(cap, delta + 1), when S
 holds every minimum-degree vertex of P if |S| = delta + 1 (so k has
 minimum degree in C), and when S spans no K_{t-1} (so C has no K_t).
 Forbidden stars fold into the cap; other patterns are embedded in C
-through k.  One canonical-deletion check remains: reject if k is not an
-invariant minimizer, accept if it is the only one, and otherwise accept
-when w* is k or C - w* has P's canonical code.
+through k.
 
-Isomorphic children of one parent can both pass (pseudo-similar
-deletions), so accepted children are deduplicated per parent by
-canonical code; masks run in descending submask order and the first one
-accepted gives the class its representative.  Each class therefore
-appears exactly once overall.
+Masks run in descending submask order, and only the first mask of each
+Aut(P)-orbit is tried.  Masks of one orbit give isomorphic pairs (C, k),
+so they pass or fail together and the first accepted mask still gives
+its class the representative.  The orbits come from the automorphism
+generators canonical_raw returns with P's code.  These generate all of
+Aut(P) (see canon), and they must: an orbit split between two orbits of
+a smaller group would give its class twice.
+
+The parent test rejects C when k is not an invariant minimizer.  When k
+is the only minimizer, C is accepted with no canonical form: an
+isomorphism between two such children of P fixes k and so carries one
+mask to the other by an automorphism of P, which the orbit pruning
+excludes; and no other parent class gives C, as that would take a
+second minimizer.  When
+k ties with others, C's canonical form is computed and C is accepted
+when w* is k or C - w* has P's canonical code.  Two such children of one
+parent can both pass (pseudo-similar deletions), so these ambiguous
+children, and only they, are deduplicated per parent by code.  Each class
+therefore appears exactly once overall.
+
+Canonical forms are computed only where they are needed: for ambiguous
+children, for every child accepted below the final order (its code and
+generators serve the next level), and in saturated_classes for the
+saturated graphs, whose codes order the reports.
 
 Constraints enforced during generation must be hereditary and
 label-invariant: degree caps and monotone forbidden subgraphs qualify
@@ -103,48 +120,93 @@ def _child_violates(adj_child, k: int, forbidden) -> bool:
                for f in forbidden for pv in range(f.order))
 
 
-def _grow_level(parents, k: int, max_degree, clique, forbidden):
+def _grow_level(parents, k: int, max_degree, clique, forbidden, final: bool):
     """All (k+1)-vertex classes obtainable from the k-vertex classes.
 
-    parents: list of (adj_tuple, code); returns the same shape,
-    sorted by code.  clique is the order of the smallest forbidden
-    clique or None; forbidden holds the patterns left to embed.
+    parents: list of (adj_tuple, code, generators of Aut(P)); returns the
+    same shape, or on the final level (adj_tuple, code) pairs sorted by
+    adj, with code None where acceptance needed no canonical form.
+    clique is the order of the smallest forbidden clique or None;
+    forbidden holds the patterns left to embed.
     """
     out = []
-    cap = max_degree if max_degree is not None and max_degree <= k else k + 1
-    for adjP, codeP in parents:
+    n = k + 1
+    cap = max_degree if max_degree is not None and max_degree <= k else n
+    for adjP, codeP, gens in parents:
         degP = [a.bit_count() for a in adjP]
         dmin = min(degP)
-        top = min(cap, dmin + 1)
         allowed = low = 0
         for v in range(k):
             if degP[v] < cap:
                 allowed |= 1 << v
             if degP[v] == dmin:
                 low |= 1 << v
-        seen: set[bytes] = set()
-        subset = allowed
-        while True:  # iterate all submasks of `allowed`, including 0
-            size = subset.bit_count()
-            if (size <= top and (size <= dmin or subset & low == low)
-                    and (clique is None
-                         or find_clique(adjP, subset, clique - 1) is None)):
-                child = _try_child(adjP, codeP, degP, k, subset, forbidden)
-                if child is not None:
-                    code = child[1]
-                    if code not in seen:
-                        seen.add(code)
-                        out.append(child)
-            if subset == 0:
-                break
-            subset = (subset - 1) & allowed
-    out.sort(key=lambda item: item[1])
+        seen: set[bytes] = set()  # codes of ambiguous children
+        tried: set[int] = set()  # the Aut(P)-orbits of masks tried
+        for subset in _submasks(allowed, min(cap, dmin + 1)):
+            if (subset in tried
+                    or subset.bit_count() > dmin and subset & low != low
+                    or clique is not None
+                    and find_clique(adjP, subset, clique - 1) is not None):
+                continue
+            if gens:
+                tried |= _orbit(subset, gens)
+            child = _try_child(adjP, codeP, degP, k, subset, forbidden)
+            if child is None:
+                continue
+            adj, canon = child
+            if canon is not None:  # k ties with another minimizer
+                if canon[0] in seen:
+                    continue
+                seen.add(canon[0])
+            if final:
+                out.append((adj, None if canon is None else canon[0]))
+            else:
+                code, _, auts = canon or canonical_raw(n, adj)
+                out.append((adj, code, auts))
+    if final:
+        out.sort(key=lambda item: item[0])
     return out
+
+
+def _submasks(allowed: int, top: int):
+    """The submasks of allowed with at most top bits, descending."""
+    subset = allowed
+    while True:
+        if subset.bit_count() > top:
+            # the submasks down to subset less its lowest bit have no
+            # fewer bits
+            subset &= subset - 1
+            continue
+        yield subset
+        if subset == 0:
+            return
+        subset = (subset - 1) & allowed
+
+
+def _orbit(mask: int, gens) -> set[int]:
+    """The orbit of a vertex mask under the group that gens generate."""
+    orbit = {mask}
+    todo = [mask]
+    while todo:
+        m = todo.pop()
+        for g in gens:
+            image = 0
+            for v in bits(m):
+                image |= 1 << g[v]
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
 
 def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden):
     """Parent test for the child P + new vertex k with neighborhood nmask,
-    a mask that already gives k minimum degree in the child."""
+    a mask that already gives k minimum degree in the child.
+
+    Returns None for a rejected child, else (adj, canon): canon is None
+    when k is the only invariant minimizer, which needs no canonical form,
+    and the child's canonical_raw triple otherwise."""
     adj_child = tuple(a | (1 << k) if nmask >> v & 1 else a
                       for v, a in enumerate(adjP)) + (nmask,)
     if forbidden and _child_violates(adj_child, k, forbidden):
@@ -159,19 +221,20 @@ def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden):
         if prof[k] != pmin:
             return None
         argmin = [v for v in argmin if prof[v] == pmin]
-    code, lab, _ = canonical_raw(n, adj_child)
-    if len(argmin) > 1:
-        # ambiguous minimizers: w* is the one placed last canonically
-        wstar = max(argmin, key=lab.index)
-        if wstar != k and canonical_raw(
-                k, Graph(n, adj_child).delete_vertex(wstar).adj)[0] != codeP:
-            return None
-    return adj_child, code
+    if len(argmin) == 1:
+        return adj_child, None
+    canon = canonical_raw(n, adj_child)
+    # ambiguous minimizers: w* is the one placed last canonically
+    wstar = max(argmin, key=canon[1].index)
+    if wstar != k and canonical_raw(
+            k, Graph(n, adj_child).delete_vertex(wstar).adj)[0] != codeP:
+        return None
+    return adj_child, canon
 
 
-def _base_level():
-    code, _, _ = canonical_raw(1, (0,))
-    return [((0,), code)]
+def _base_level(final: bool):
+    code, _, auts = canonical_raw(1, (0,))
+    return [((0,), code)] if final else [((0,), code, auts)]
 
 
 def _effective(n: int, constraints: SearchConstraints):
@@ -196,9 +259,10 @@ def _effective(n: int, constraints: SearchConstraints):
 
 def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints(),
                       workers: int = 1):
-    """One canonically labeled representative per isomorphism class of
-    n-vertex graphs satisfying the constraints, as code-sorted (adj, code)
-    pairs.  With several workers, the levels past the first wide enough
+    """One representative per isomorphism class of n-vertex graphs
+    satisfying the constraints, as (adj, code) pairs sorted by adj; code
+    is the canonical code where acceptance computed one and None
+    elsewhere.  With several workers, the levels past the first wide enough
     to split are grown in a process pool; the result is the same."""
     if n < 1:
         raise DomainError("enumeration needs n >= 1")
@@ -206,10 +270,10 @@ def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints
         raise DomainError(f"n={n} above the desk-scale cap {HARD_CAP}",
                           code="cap")
     cap, clique, forb = _effective(n, constraints)
-    level = _base_level()
+    level = _base_level(n == 1)
     k = 1
     while k < n and (workers <= 1 or len(level) < 2 * workers):
-        level = _grow_level(level, k, cap, clique, forb)
+        level = _grow_level(level, k, cap, clique, forb, k + 1 == n)
         k += 1
     if k < n:
         args = [(level[i::workers], k, n, cap, clique, forb)
@@ -217,7 +281,7 @@ def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_worker_expand, args))
         level = sorted((item for part in parts for item in part),
-                       key=lambda item: item[1])
+                       key=lambda item: item[0])
     if constraints.connected_only:
         level = [(adj, code) for adj, code in level
                  if is_connected(Graph(n, adj))]
@@ -227,7 +291,7 @@ def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints
 def _worker_expand(args):
     level, k_from, n, cap, clique, forb = args
     for k in range(k_from, n):
-        level = _grow_level(level, k, cap, clique, forb)
+        level = _grow_level(level, k, cap, clique, forb, k + 1 == n)
     return level
 
 
@@ -248,11 +312,13 @@ def saturated_classes(n: int, f: PatternSpec,
     """All f-saturated classes on n vertices under the constraints.
 
     Returns (graphs, examined) where graphs is a code-sorted list of
-    canonical representatives.  Results are memoized per parameter key.
+    class representatives.  Results are memoized per parameter key.
     """
     key = (n, str(f), constraints.key(), auto_prune)
     if key in _SAT_CACHE:
         return _SAT_CACHE[key]
+    if n < 1:
+        raise DomainError(f"n={n}: a saturated graph needs n >= 1")
     if n < f.order:
         raise NoneExistError(
             f"no {f}-saturated graph on {n} vertices: none exist "
@@ -266,6 +332,8 @@ def saturated_classes(n: int, f: PatternSpec,
         if not auto_prune and contains_copy(g, f) is not None:
             continue
         if _saturated_quick(g, f):
+            if code is None:
+                code = canonical_raw(n, adj)[0]
             sat.append((g, code))
     sat.sort(key=lambda item: item[1])
     result = ([g for g, _ in sat], len(classes))
@@ -384,6 +452,8 @@ def tstar_scan(n_max: int, workers: int = 1) -> dict:
     from .patterns import clique, tree_pattern
     if n_max > HARD_CAP:
         raise DomainError(f"n_max={n_max} above cap {HARD_CAP}", code="cap")
+    if n_max < 1:
+        raise DomainError(f"n_max={n_max}: the scan needs n_max >= 1")
     spider = tree_pattern(t_star())
     per_n = {}
     for n in range(1, n_max + 1):

@@ -8,9 +8,11 @@ from satgraph.canon import (are_isomorphic, canonical_form, canonical_graph,
                             canonical_raw)
 from satgraph.graph import (build_graph, complete_graph, cycle_graph,
                             empty_graph, path_graph, star_graph)
+from satgraph.search import enumerate_graphs
 from satgraph import constructions as cons
 
-from conftest import all_labeled_graphs, brute_canonical, random_graph
+from conftest import (all_labeled_graphs, brute_canonical,
+                      naive_automorphisms, random_graph)
 
 
 def test_codes_match_brute_force_partition_n4():
@@ -147,3 +149,66 @@ def test_canonical_raw_golden_digest():
     for g in _golden_corpus():
         h.update(repr(canonical_raw(g.n, g.adj)).encode())
     assert h.hexdigest() == GOLDEN_DIGEST
+
+
+def _group_order(n, gens):
+    """Order of the permutation group that gens generate, closed by BFS."""
+    identity = tuple(range(n))
+    group = {identity}
+    todo = [identity]
+    while todo:
+        g = todo.pop()
+        for s in gens:
+            h = tuple(s[x] for x in g)
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    return len(group)
+
+
+def _automorphism_count(g):
+    """|Aut(g)| by backtracking: each vertex goes to an unused vertex of
+    the same degree whose edges to the earlier images match."""
+    deg = g.degrees()
+    image = [0] * g.n
+
+    def extend(v, used):
+        if v == g.n:
+            return 1
+        total = 0
+        for w in range(g.n):
+            if used >> w & 1 or deg[w] != deg[v]:
+                continue
+            if all((g.adj[v] >> u & 1) == (g.adj[w] >> image[u] & 1)
+                   for u in range(v)):
+                image[v] = w
+                total += extend(v + 1, used | 1 << w)
+        return total
+
+    return extend(0, 0)
+
+
+def _assert_generators_complete(g, order):
+    _, _, gens = canonical_raw(g.n, g.adj)
+    for s in gens:
+        assert g.relabel(list(s)).adj == g.adj  # each one is an automorphism
+    assert _group_order(g.n, gens) == order
+
+
+def test_automorphism_generators_generate_the_group(rng):
+    """The generators canonical_raw returns generate all of Aut(G): every
+    class on at most 6 vertices against the permutation count, and seeded
+    G(n, p) graphs on 7..10 vertices against a degree-respecting count,
+    each in two labellings."""
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            order = naive_automorphisms(g)
+            for h in (g, g.relabel(rng.sample(range(n), n))):
+                _assert_generators_complete(h, order)
+    for n in range(7, 11):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for _ in range(4):
+                g = random_graph(rng, n, p)
+                order = _automorphism_count(g)
+                for h in (g, g.relabel(rng.sample(range(n), n))):
+                    _assert_generators_complete(h, order)

@@ -267,3 +267,14 @@ def test_workers_env_read_on_every_run(capsys, monkeypatch):
     code, out, _ = invoke(capsys, *argv)
     assert code == 0 and payload(out)["parameters"]["workers"] == 2
     assert payload(out)["result"]["workers"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["satnum", "exact", "--n", "-3", "--forbid", "K3", "--count", "S1"],
+    ["satnum", "exact", "--n", "0", "--forbid", "S2", "--count", "S1"],
+    ["scan", "tstar", "--max-n", "-2"],
+    ["scan", "tstar", "--max-n", "0"],
+])
+def test_order_below_one_is_domain_error(capsys, argv):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 3 and payload(out)["error"]["code"] == "domain"

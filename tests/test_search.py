@@ -1,11 +1,14 @@
 """Enumeration completeness, prune soundness, oracle determinism."""
 
+import hashlib
+import json
+
 import pytest
 
 from satgraph.canon import canonical_form
 from satgraph.errors import DomainError, NoneExistError
 from satgraph.graph import Graph, decode_graph6
-from satgraph.patterns import clique, star, tree_pattern
+from satgraph.patterns import clique, cycle, path, star, tree_pattern
 from satgraph.saturation import is_saturated, star_sat_structure
 from satgraph.search import (SearchConstraints, clear_cache, enumerate_classes,
                              enumerate_graphs, exists_saturated_with,
@@ -230,3 +233,53 @@ def test_negative_max_degree_is_domain_error():
             call()
         assert exc.value.code == "domain"  # not a none-exist verdict
     clear_cache()
+
+
+def _search_digest_configs():
+    """(forbidden pattern, constraints) pairs the search digest covers,
+    each searched on every order 1..8."""
+    spider = tree_pattern(cons.t_star())
+    forbids = (clique(3), clique(4), clique(5), star(3), star(4), star(5),
+               path(4), cycle(4), spider)
+    for f in forbids:
+        yield f, SearchConstraints()
+        yield f, SearchConstraints(max_degree=3)
+    for f in (clique(3), star(4), star(5), path(4), cycle(4)):
+        yield f, SearchConstraints(connected_only=True)
+
+
+# SHA-256 over _search_digest_configs() of the saturated_classes adjacency
+# rows in order with graphs_examined, then the satnum_exact (count S1)
+# JSON report, or the error code where the search has no answer; computed
+# with the enumerator that deduplicated every child by canonical code.
+SEARCH_GOLDEN_DIGEST = ("69162b8f5eb407f546657aa469df035a"
+                        "fd9e13579ac31723045e87d20116ed47")
+
+
+def test_search_output_golden_digest():
+    h = hashlib.sha256()
+    for f, constraints in _search_digest_configs():
+        for n in range(1, 9):
+            clear_cache()
+            try:
+                sat, examined = saturated_classes(n, f, constraints)
+                h.update(repr(([g.adj for g in sat], examined)).encode())
+                rep = satnum_exact(n, f, star(1), constraints)
+                h.update(json.dumps(rep.to_json(), sort_keys=True).encode())
+            except DomainError as exc:
+                h.update(exc.code.encode())
+    clear_cache()
+    assert h.hexdigest() == SEARCH_GOLDEN_DIGEST
+
+
+def test_worker_parity_k4_free_n8():
+    k4_free = SearchConstraints(forbidden=(clique(4),))
+    assert (enumerate_classes(8, k4_free, workers=2)
+            == enumerate_classes(8, k4_free, workers=1))
+    clear_cache()
+    seq = satnum_exact(8, clique(4), star(1))
+    clear_cache()
+    par = satnum_exact(8, clique(4), star(1), workers=2)
+    clear_cache()
+    assert par.workers == 2
+    assert seq.to_json() | {"workers": 2} == par.to_json()
