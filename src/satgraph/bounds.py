@@ -105,7 +105,11 @@ def krfree_bound(r: int, t: int, m: int):
         (r/(r-1)) * ((t-1)/2 + sqrt(((t-1)/2)^2 - m(r-1)(t-m)/r)).
 
     Exact Fraction when the discriminant is a perfect rational square,
-    float otherwise."""
+    float otherwise.  A negative discriminant raises DomainError with code
+    "discriminant": there the bound places no constraint on n.  It does
+    not mean that no such graph exists: at t=5, r=4, m=2, for example,
+    350 K_5-free S_5-saturated graphs with two vertices of degree below 4
+    exist on at most 10 vertices."""
     if r < 2:
         raise DomainError("need r >= 2")
     if not 0 <= m <= r:

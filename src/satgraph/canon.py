@@ -12,6 +12,14 @@ same ordered partition as enqueueing every cell: the parent partition is
 equitable, so no parent cell splits anything, nor does the rest of v's
 cell once {v} has split every cell by adjacency to v.
 
+Refinement and individualization only ever replace a cell by its parts,
+in place, so no vertex leaves its cell of the initial partition
+(equitable_partition): every leaf, the canonical one included, puts the
+vertices of each initial cell exactly on that cell's run of positions.
+The enumerator relies on this to find the canonical deletion vertex in
+the last cell of invariant minimizers, and passes the partition it has
+computed into canonical_raw as ``cells`` so it is not computed twice.
+
 Each node extends its parent's prefix columns (one per leading singleton
 cell) by the columns of its new singletons only, and prunes by
   * comparison of the prefix against the best full column string found
@@ -74,7 +82,9 @@ def _refine(adj: AdjRows, cells: list[list[int]],
     return cells
 
 
-def _initial_cells(n: int, adj: AdjRows) -> list[list[int]]:
+def equitable_partition(n: int, adj: AdjRows) -> list[list[int]]:
+    """The coarsest equitable ordered partition refining the degree cells,
+    ordered as ``canonical_raw`` orders its initial cells."""
     groups: dict[int, list[int]] = {}
     for v in range(n):
         groups.setdefault(adj[v].bit_count(), []).append(v)
@@ -94,11 +104,11 @@ class _Canonizer:
         # node writes only the entries of its own new singletons
         self._pos = [0] * n
 
-    def run(self):
+    def run(self, cells: list[list[int]] | None):
         n = self.n
         if n == 0:
             return b"\x00\x00", (), []
-        self._search(_initial_cells(n, self.adj), [], [], 0)
+        self._search(cells or equitable_partition(n, self.adj), [], [], 0)
         code = n.to_bytes(2, "big") + b"".join(
             c.to_bytes((n + 7) // 8, "big") for c in self.best_cols)
         return code, tuple(self.best_lab), self.auts
@@ -170,13 +180,32 @@ class _Canonizer:
                          placed)
 
 
-def canonical_raw(n: int, adj: AdjRows):
+def canonical_raw(n: int, adj: AdjRows, *,
+                  cells: list[list[int]] | None = None):
     """Canonical data for raw bitmask rows (hot path for the enumerator).
 
     Returns (code, labeling, automorphism generators) where
     ``labeling[p]`` is the original vertex placed at canonical position p.
+    ``cells``, when given, must be ``equitable_partition(n, adj)``; a
+    caller that already has it saves computing it again.  It is only read.
     """
-    return _Canonizer(n, adj).run()
+    return _Canonizer(n, adj).run(cells)
+
+
+def orbit(mask: int, gens) -> set[int]:
+    """The orbit of a vertex mask under the group that gens generate."""
+    found = {mask}
+    todo = [mask]
+    while todo:
+        m = todo.pop()
+        for g in gens:
+            image = 0
+            for v in bits(m):
+                image |= 1 << g[v]
+            if image not in found:
+                found.add(image)
+                todo.append(image)
+    return found
 
 
 def canonical_labeling(g: Graph):

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .canon import canonical_raw, orbit
 from .errors import DomainError, FormatError
 from .graph import (Graph, complete_graph, cycle_graph, decode_graph6,
                     encode_graph6, path_graph, star_graph)
@@ -66,6 +67,18 @@ class PatternSpec:
         if self.kind == "cycle":
             return cycle_graph(self.size)
         return self.graph
+
+    @cached_property
+    def orbit_representatives(self) -> tuple[int, ...]:
+        """The least vertex of each Aut(F)-orbit of the pattern graph F."""
+        g = self._graph
+        gens = canonical_raw(g.n, g.adj)[2]
+        reps, covered = [], 0
+        for v in range(g.n):
+            if not covered >> v & 1:
+                reps.append(v)
+                covered |= sum(orbit(1 << v, gens))
+        return tuple(reps)
 
     @property
     def order(self) -> int:

@@ -28,17 +28,33 @@ is the only minimizer, C is accepted with no canonical form: an
 isomorphism between two such children of P fixes k and so carries one
 mask to the other by an automorphism of P, which the orbit pruning
 excludes; and no other parent class gives C, as that would take a
-second minimizer.  When
-k ties with others, C's canonical form is computed and C is accepted
-when w* is k or C - w* has P's canonical code.  Two such children of one
-parent can both pass (pseudo-similar deletions), so these ambiguous
-children, and only they, are deduplicated per parent by code.  Each class
-therefore appears exactly once overall.
+second minimizer.  When k ties with others, C is accepted when w* is k
+or C - w* has P's canonical code, decided as cheaply as possible:
+  * when every minimizer is a twin of k (N(u) - k = N(k) - u, so the
+    transposition (u k) is an automorphism), w* is in k's orbit and C is
+    accepted with no partition and no canonical form;
+  * otherwise C's initial equitable partition is computed.  The
+    invariant is constant on its cells and canonical_raw keeps every
+    vertex inside its initial cell (see canon), so w* lies in the last
+    cell L of minimizers.  If k is in L and L holds only twins of k, C is
+    accepted; if L is one vertex w other than k, w is w* and only the
+    deletion check C - w is computed; else C's canonical form (given
+    the partition) names w*.
+Two accepted children of one parent with w* in k's orbit are never
+isomorphic, by the argument for a unique minimizer.  Only a child
+accepted with w* outside k's orbit (a pseudo-similar deletion) can
+duplicate another, so only in a parent with such a child are the
+ambiguous children deduplicated, by canonical code in mask order,
+keeping the first.  Each class therefore appears exactly once overall,
+with the representative a deduplication of every ambiguous child
+would keep.
 
 Canonical forms are computed only where they are needed: for ambiguous
-children, for every child accepted below the final order (its code and
-generators serve the next level), and in saturated_classes for the
-saturated graphs, whose codes order the reports.
+children whose partition does not settle w*, for deletion checks, for
+the ambiguous children of a parent that needs deduplication, for every
+child accepted below the final order (its code and generators serve the
+next level), and in saturated_classes for the saturated graphs, whose
+codes order the reports.
 
 Constraints enforced during generation must be hereditary and
 label-invariant: degree caps and monotone forbidden subgraphs qualify
@@ -56,7 +72,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .canon import canonical_raw
+from .canon import canonical_raw, equitable_partition, orbit
 from .counting import count_pattern, embed, find_clique
 from .errors import DomainError, NoneExistError
 from .graph import Graph, bits, encode_graph6
@@ -114,10 +130,12 @@ def _child_violates(adj_child, k: int, forbidden) -> bool:
     """Does the child contain a forbidden pattern through the new vertex k?
 
     Parents are pattern-free by induction, so anchoring at k is a full
-    containment test."""
+    containment test.  One pattern vertex per Aut(F)-orbit is pinned to
+    k: composing a copy with an automorphism of F moves the vertex on k
+    over its whole orbit."""
     g = Graph(k + 1, adj_child)
     return any(embed(g, f.to_graph(), {pv: k}, first=True) is not None
-               for f in forbidden for pv in range(f.order))
+               for f in forbidden for pv in f.orbit_representatives)
 
 
 def _grow_level(parents, k: int, max_degree, clique, forbidden, final: bool):
@@ -134,39 +152,62 @@ def _grow_level(parents, k: int, max_degree, clique, forbidden, final: bool):
     cap = max_degree if max_degree is not None and max_degree <= k else n
     for adjP, codeP, gens in parents:
         degP = [a.bit_count() for a in adjP]
-        dmin = min(degP)
-        allowed = low = 0
-        for v in range(k):
-            if degP[v] < cap:
-                allowed |= 1 << v
-            if degP[v] == dmin:
-                low |= 1 << v
-        seen: set[bytes] = set()  # codes of ambiguous children
-        tried: set[int] = set()  # the Aut(P)-orbits of masks tried
-        for subset in _submasks(allowed, min(cap, dmin + 1)):
-            if (subset in tried
-                    or subset.bit_count() > dmin and subset & low != low
-                    or clique is not None
-                    and find_clique(adjP, subset, clique - 1) is not None):
-                continue
-            if gens:
-                tried |= _orbit(subset, gens)
+        kids = []
+        moved = False  # some child was accepted with w* outside k's orbit
+        for subset in _candidates(adjP, degP, gens, cap, clique):
             child = _try_child(adjP, codeP, degP, k, subset, forbidden)
-            if child is None:
-                continue
-            adj, canon = child
-            if canon is not None:  # k ties with another minimizer
-                if canon[0] in seen:
-                    continue
-                seen.add(canon[0])
+            if child is not None:
+                kids.append(child)
+                moved |= child[4]
+        if moved:
+            kids = _first_of_each_class(n, kids)
+        for adj, _, cells, canon, _ in kids:
             if final:
                 out.append((adj, None if canon is None else canon[0]))
             else:
-                code, _, auts = canon or canonical_raw(n, adj)
+                code, _, auts = canon or canonical_raw(n, adj, cells=cells)
                 out.append((adj, code, auts))
     if final:
         out.sort(key=lambda item: item[0])
     return out
+
+
+def _candidates(adjP, degP, gens, cap: int, clique):
+    """The neighbourhood masks to try on the parent P, in descending
+    submask order: the first mask of each Aut(P)-orbit that passes the
+    mask rule."""
+    dmin = min(degP)
+    allowed = low = 0
+    for v, d in enumerate(degP):
+        if d < cap:
+            allowed |= 1 << v
+        if d == dmin:
+            low |= 1 << v
+    tried: set[int] = set()  # the Aut(P)-orbits of masks tried
+    for subset in _submasks(allowed, min(cap, dmin + 1)):
+        if (subset in tried
+                or subset.bit_count() > dmin and subset & low != low
+                or clique is not None
+                and find_clique(adjP, subset, clique - 1) is not None):
+            continue
+        if gens:
+            tried |= orbit(subset, gens)
+        yield subset
+
+
+def _first_of_each_class(n: int, kids):
+    """The children of one parent less every ambiguous child isomorphic
+    to an earlier one, with the canonical forms this needs filled in."""
+    seen: set[bytes] = set()
+    kept = []
+    for adj, ambiguous, cells, canon, moved in kids:
+        if ambiguous:
+            canon = canon or canonical_raw(n, adj, cells=cells)
+            if canon[0] in seen:
+                continue
+            seen.add(canon[0])
+        kept.append((adj, ambiguous, cells, canon, moved))
+    return kept
 
 
 def _submasks(allowed: int, top: int):
@@ -184,29 +225,16 @@ def _submasks(allowed: int, top: int):
         subset = (subset - 1) & allowed
 
 
-def _orbit(mask: int, gens) -> set[int]:
-    """The orbit of a vertex mask under the group that gens generate."""
-    orbit = {mask}
-    todo = [mask]
-    while todo:
-        m = todo.pop()
-        for g in gens:
-            image = 0
-            for v in bits(m):
-                image |= 1 << g[v]
-            if image not in orbit:
-                orbit.add(image)
-                todo.append(image)
-    return orbit
-
-
 def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden):
-    """Parent test for the child P + new vertex k with neighborhood nmask,
-    a mask that already gives k minimum degree in the child.
+    """Parent test for the child C = P + new vertex k with neighborhood
+    nmask, a mask that already gives k minimum degree in C.
 
-    Returns None for a rejected child, else (adj, canon): canon is None
-    when k is the only invariant minimizer, which needs no canonical form,
-    and the child's canonical_raw triple otherwise."""
+    Returns None for a rejected child, else (adj, ambiguous, cells,
+    canon, moved): ambiguous says k ties with another invariant
+    minimizer; cells and canon are C's equitable partition and
+    canonical_raw triple, each None where the decision did without it;
+    moved says w* lies outside k's orbit, so C may duplicate another
+    child of P."""
     adj_child = tuple(a | (1 << k) if nmask >> v & 1 else a
                       for v, a in enumerate(adjP)) + (nmask,)
     if forbidden and _child_violates(adj_child, k, forbidden):
@@ -222,14 +250,32 @@ def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden):
             return None
         argmin = [v for v in argmin if prof[v] == pmin]
     if len(argmin) == 1:
-        return adj_child, None
-    canon = canonical_raw(n, adj_child)
-    # ambiguous minimizers: w* is the one placed last canonically
-    wstar = max(argmin, key=canon[1].index)
-    if wstar != k and canonical_raw(
+        return adj_child, False, None, None, False
+    rowk = adj_child[k]
+
+    def twin(u: int) -> bool:  # the transposition (u k) is in Aut(C)
+        return u == k or adj_child[u] & ~(1 << k) == rowk & ~(1 << u)
+
+    if all(map(twin, argmin)):  # w* is in k's orbit
+        return adj_child, True, None, None, False
+    cells = equitable_partition(n, adj_child)
+    # the minimizers are a union of cells, and w* is in the last of them
+    last = next(c for c in reversed(cells) if c[0] in argmin)
+    if k in last and all(map(twin, last)):
+        return adj_child, True, cells, None, False
+    if len(last) == 1:  # w* is the one vertex of the cell, not k
+        wstar, canon = last[0], None
+    else:
+        canon = canonical_raw(n, adj_child, cells=cells)
+        wstar = max(last, key=canon[1].index)  # the one placed last
+    if wstar == k:
+        return adj_child, True, cells, canon, False
+    if canonical_raw(
             k, Graph(n, adj_child).delete_vertex(wstar).adj)[0] != codeP:
         return None
-    return adj_child, canon
+    # a lone w* is in a cell without k, so outside k's orbit
+    moved = canon is None or (1 << wstar) not in orbit(1 << k, canon[2])
+    return adj_child, True, cells, canon, moved
 
 
 def _base_level(final: bool):

@@ -5,7 +5,7 @@ import random
 from itertools import permutations
 
 from satgraph.canon import (are_isomorphic, canonical_form, canonical_graph,
-                            canonical_raw)
+                            canonical_raw, equitable_partition)
 from satgraph.graph import (build_graph, complete_graph, cycle_graph,
                             empty_graph, path_graph, star_graph)
 from satgraph.search import enumerate_graphs
@@ -212,3 +212,31 @@ def test_automorphism_generators_generate_the_group(rng):
                 order = _automorphism_count(g)
                 for h in (g, g.relabel(rng.sample(range(n), n))):
                     _assert_generators_complete(h, order)
+
+
+def _assert_positions_in_initial_cells(g):
+    cells = equitable_partition(g.n, g.adj)
+    raw = canonical_raw(g.n, g.adj)
+    start = 0
+    for cell in cells:
+        assert sorted(raw[1][start:start + len(cell)]) == sorted(cell)
+        start += len(cell)
+    assert start == g.n
+    assert canonical_raw(g.n, g.adj, cells=cells) == raw
+    assert cells == equitable_partition(g.n, g.adj)  # only read
+
+
+def test_canonical_positions_stay_in_initial_cells(rng):
+    """canonical_raw puts each cell of the initial equitable partition on
+    that cell's run of positions, and gives the same output when handed
+    the partition: every class on at most 7 vertices, and seeded G(n, p)
+    graphs on 8..10 vertices, each in two labellings."""
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            _assert_positions_in_initial_cells(g)
+    for n in range(8, 11):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for _ in range(10):
+                g = random_graph(rng, n, p)
+                for h in (g, g.relabel(rng.sample(range(n), n))):
+                    _assert_positions_in_initial_cells(h)

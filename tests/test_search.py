@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from satgraph.canon import canonical_form
+from satgraph import search
+from satgraph.canon import canonical_form, canonical_raw
 from satgraph.errors import DomainError, NoneExistError
 from satgraph.graph import Graph, decode_graph6
 from satgraph.patterns import clique, cycle, path, star, tree_pattern
@@ -283,3 +284,66 @@ def test_worker_parity_k4_free_n8():
     clear_cache()
     assert par.workers == 2
     assert seq.to_json() | {"workers": 2} == par.to_json()
+
+
+def _reference_parent_test(adjP, codeP, k, nmask):
+    """(accepted, ambiguous, code) for the child P + k with neighbourhood
+    nmask, decided from the child's canonical form alone: k must be an
+    invariant minimizer, w* is the minimizer placed last canonically, and
+    the child is accepted iff w* is k or C - w* has P's code."""
+    n = k + 1
+    g = Graph(n, tuple(a | (1 << k) if nmask >> v & 1 else a
+                       for v, a in enumerate(adjP)) + (nmask,))
+    inv = [(g.degree(v), sorted(g.degree(u) for u in range(n)
+                                if g.has_edge(u, v))) for v in range(n)]
+    mins = [v for v in range(n) if inv[v] == min(inv)]
+    code, lab, _ = canonical_raw(n, g.adj)
+    wstar = max(mins, key=lab.index)
+    accepted = k in mins and (
+        wstar == k
+        or canonical_raw(k, g.delete_vertex(wstar).adj)[0] == codeP)
+    return accepted, len(mins) > 1, code
+
+
+def _final_level_against_reference(n, constraints):
+    """Check every final-level child's decision against the reference and
+    the final level against the reference with every ambiguous child
+    deduplicated; returns the number of duplicates dropped."""
+    cap, clique, forbidden = search._effective(n, constraints)
+    level = search._base_level(False)
+    for k in range(1, n - 1):
+        level = search._grow_level(level, k, cap, clique, forbidden, False)
+    k = n - 1
+    kcap = cap if cap is not None and cap <= k else n
+    expected, duplicates = [], 0
+    for adjP, codeP, gens in level:
+        degP = [a.bit_count() for a in adjP]
+        seen = set()
+        for mask in search._candidates(adjP, degP, gens, kcap, clique):
+            accepted, ambiguous, code = _reference_parent_test(
+                adjP, codeP, k, mask)
+            child = search._try_child(adjP, codeP, degP, k, mask, forbidden)
+            assert (child is not None) == accepted, (adjP, mask)
+            if not accepted:
+                continue
+            if ambiguous:
+                if code in seen:
+                    duplicates += 1
+                    continue
+                seen.add(code)
+            expected.append(child[0])
+    final = search._grow_level(level, k, cap, clique, forbidden, True)
+    assert [adj for adj, _ in final] == sorted(expected)
+    return duplicates
+
+
+def test_parent_test_decisions_match_canonical_form_reference():
+    """The parent test that settles children by twins and the equitable
+    partition decides every final-level child as the canonical form
+    would, and deduplicates to the same representatives."""
+    k4_free = SearchConstraints(forbidden=(clique(4),))
+    assert _final_level_against_reference(8, k4_free) > 0
+    _final_level_against_reference(7, SearchConstraints())
+    _final_level_against_reference(
+        8, SearchConstraints(forbidden=(clique(3),)))
+    _final_level_against_reference(8, SearchConstraints(max_degree=3))
