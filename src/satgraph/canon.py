@@ -20,6 +20,14 @@ The enumerator relies on this to find the canonical deletion vertex in
 the last cell of invariant minimizers, and passes the partition it has
 computed into canonical_raw as ``cells`` so it is not computed twice.
 
+automorphism_sending runs one path of the same search in step on two
+copies of a partition: it individualizes a on one and b on the other,
+then the first vertex of the first non-singleton cell on both, and reads
+a bijection off the two discrete partitions.  The bijection is returned
+only after an edge-by-edge check, so an accepted pair is always in one
+orbit; a refusal proves nothing.  The enumerator uses it to settle a
+tied minimizer cell with no canonical form.
+
 Each node extends its parent's prefix columns (one per leading singleton
 cell) by the columns of its new singletons only, and prunes by
   * comparison of the prefix against the best full column string found
@@ -80,6 +88,50 @@ def _refine(adj: AdjRows, cells: list[list[int]],
                     continue
             i += 1
     return cells
+
+
+def _individualize(adj: AdjRows, cells: list[list[int]], i: int,
+                   v: int) -> list[list[int]]:
+    """The equitable partition ``cells`` with v split off its cell i, a
+    non-singleton, in front of the rest, and refined from {v} alone."""
+    rest = [u for u in cells[i] if u != v]
+    return _refine(adj, cells[:i] + [[v], rest] + cells[i + 1:], [1 << v])
+
+
+def automorphism_sending(adj: AdjRows, cells: list[list[int]], a: int,
+                         b: int) -> tuple[int, ...] | None:
+    """An automorphism of the graph that sends a to b, or None where this
+    one-path search finds none.
+
+    ``cells`` is the graph's equitable partition, with a and b distinct
+    vertices of one cell.  a and b are individualized in step, on two
+    copies of it, and then the first vertex of the first non-singleton
+    cell on each side, until both partitions are discrete; position by
+    position the two give a bijection.  It is returned only when it
+    maps every row onto the row of the image, edge by edge.  None proves
+    nothing: the cell sizes parted, or the vertices chosen on the two
+    sides did not correspond, and a and b may still lie in one orbit."""
+    i = next(i for i, cell in enumerate(cells) if a in cell)
+    left = _individualize(adj, cells, i, a)
+    right = _individualize(adj, cells, i, b)
+    while True:
+        if list(map(len, left)) != list(map(len, right)):
+            return None
+        i = next((i for i, cell in enumerate(left) if len(cell) > 1), None)
+        if i is None:
+            break
+        left = _individualize(adj, left, i, left[i][0])
+        right = _individualize(adj, right, i, right[i][0])
+    sigma = [0] * len(adj)
+    for (u,), (v,) in zip(left, right):
+        sigma[u] = v
+    for u, row in enumerate(adj):
+        image = 0
+        for w in bits(row):
+            image |= 1 << sigma[w]
+        if image != adj[sigma[u]]:
+            return None
+    return tuple(sigma)
 
 
 def equitable_partition(n: int, adj: AdjRows) -> list[list[int]]:
@@ -174,9 +226,7 @@ class _Canonizer:
             if any(find(u) == rv for u in tried):
                 continue
             tried.append(v)
-            rest = [u for u in target if u != v]
-            child = cells[:k] + [[v], rest] + cells[k + 1:]
-            self._search(_refine(adj, child, [1 << v]), path + [v], cols,
+            self._search(_individualize(adj, cells, k, v), path + [v], cols,
                          placed)
 
 

@@ -36,10 +36,22 @@ or C - w* has P's canonical code, decided as cheaply as possible:
   * otherwise C's initial equitable partition is computed.  The
     invariant is constant on its cells and canonical_raw keeps every
     vertex inside its initial cell (see canon), so w* lies in the last
-    cell L of minimizers.  If k is in L and L holds only twins of k, C is
-    accepted; if L is one vertex w other than k, w is w* and only the
-    deletion check C - w is computed; else C's canonical form (given
-    the partition) names w*.
+    cell L of minimizers.  If k is in L and every u in L is a twin of k
+    or, at the final order, the image of k under an automorphism that
+    canon.automorphism_sending found and checked edge by edge, L is
+    inside k's orbit and C is accepted.  A candidate that fails proves
+    nothing (the one-path search may have paired vertices that do not
+    correspond), so it falls back to the canonical form, never to a
+    rejection.  Below the final order C's form is computed after
+    acceptance anyway, for the next level's code and generators, so no
+    candidate is tried there.  If L is one vertex w other than k, w is
+    w* and only the deletion check C - w is computed; else C's
+    canonical form (given the partition) names w*.
+  * a deletion check first compares the sorted (degree, sorted
+    neighbour degrees) pairs of C - w*, read off C's rows with w*
+    masked out, with P's, computed once per parent at its first
+    deletion check.  These pairs are an isomorphism invariant, so a
+    difference rejects C; only equal pairs need C - w*'s canonical code.
 Two accepted children of one parent with w* in k's orbit are never
 isomorphic, by the argument for a unique minimizer.  Only a child
 accepted with w* outside k's orbit (a pseudo-similar deletion) can
@@ -50,8 +62,9 @@ with the representative a deduplication of every ambiguous child
 would keep.
 
 Canonical forms are computed only where they are needed: for ambiguous
-children whose partition does not settle w*, for deletion checks, for
-the ambiguous children of a parent that needs deduplication, for every
+children that neither the partition nor a candidate automorphism
+settles, for deletion checks that the profile does not reject, for the
+ambiguous children of a parent that needs deduplication, for every
 child accepted below the final order (its code and generators serve the
 next level), and in saturated_classes for the saturated graphs, whose
 codes order the reports.
@@ -72,7 +85,8 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .canon import canonical_raw, equitable_partition, orbit
+from .canon import (automorphism_sending, canonical_raw, equitable_partition,
+                    orbit)
 from .counting import count_pattern, embed, find_clique
 from .errors import DomainError, NoneExistError
 from .graph import Graph, bits, encode_graph6
@@ -154,8 +168,10 @@ def _grow_level(parents, k: int, max_degree, clique, forbidden, final: bool):
         degP = [a.bit_count() for a in adjP]
         kids = []
         moved = False  # some child was accepted with w* outside k's orbit
+        memo: dict = {}
         for subset in _candidates(adjP, degP, gens, cap, clique):
-            child = _try_child(adjP, codeP, degP, k, subset, forbidden)
+            child = _try_child(adjP, codeP, degP, k, subset, forbidden,
+                               final, memo)
             if child is not None:
                 kids.append(child)
                 moved |= child[4]
@@ -225,10 +241,23 @@ def _submasks(allowed: int, top: int):
         subset = (subset - 1) & allowed
 
 
-def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden):
+def _profile(adj, drop: int = -1):
+    """The sorted (degree, sorted neighbour degrees) pairs of the graph on
+    the rows adj, less the vertex drop where one is given: an isomorphism
+    invariant, read off the rows with drop masked out."""
+    keep = ~(1 << drop) if drop >= 0 else -1
+    deg = [(a & keep).bit_count() for a in adj]
+    return sorted((deg[v], sorted(deg[u] for u in bits(adj[v] & keep)))
+                  for v in range(len(adj)) if v != drop)
+
+
+def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden,
+               final: bool = True, memo: dict | None = None):
     """Parent test for the child C = P + new vertex k with neighborhood
     nmask, a mask that already gives k minimum degree in C.
 
+    final says C has the search's full order, so no canonical form of C
+    follows acceptance; memo caches P's profile across P's children.
     Returns None for a rejected child, else (adj, ambiguous, cells,
     canon, moved): ambiguous says k ties with another invariant
     minimizer; cells and canon are C's equitable partition and
@@ -261,7 +290,10 @@ def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden):
     cells = equitable_partition(n, adj_child)
     # the minimizers are a union of cells, and w* is in the last of them
     last = next(c for c in reversed(cells) if c[0] in argmin)
-    if k in last and all(map(twin, last)):
+    if k in last and all(
+            twin(u) or final and automorphism_sending(
+                adj_child, cells, k, u) is not None
+            for u in last):  # L, and so w*, lies in k's orbit
         return adj_child, True, cells, None, False
     if len(last) == 1:  # w* is the one vertex of the cell, not k
         wstar, canon = last[0], None
@@ -270,7 +302,10 @@ def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden):
         wstar = max(last, key=canon[1].index)  # the one placed last
     if wstar == k:
         return adj_child, True, cells, canon, False
-    if canonical_raw(
+    memo = {} if memo is None else memo
+    if "profile" not in memo:  # P's, at its first child's deletion check
+        memo["profile"] = _profile(adjP)
+    if _profile(adj_child, wstar) != memo["profile"] or canonical_raw(
             k, Graph(n, adj_child).delete_vertex(wstar).adj)[0] != codeP:
         return None
     # a lone w* is in a cell without k, so outside k's orbit

@@ -4,9 +4,10 @@ import hashlib
 import random
 from itertools import permutations
 
-from satgraph.canon import (are_isomorphic, canonical_form, canonical_graph,
-                            canonical_raw, equitable_partition)
-from satgraph.graph import (build_graph, complete_graph, cycle_graph,
+from satgraph.canon import (are_isomorphic, automorphism_sending,
+                            canonical_form, canonical_graph, canonical_raw,
+                            equitable_partition, orbit)
+from satgraph.graph import (Graph, build_graph, complete_graph, cycle_graph,
                             empty_graph, path_graph, star_graph)
 from satgraph.search import enumerate_graphs
 from satgraph import constructions as cons
@@ -240,3 +241,62 @@ def test_canonical_positions_stay_in_initial_cells(rng):
                 g = random_graph(rng, n, p)
                 for h in (g, g.relabel(rng.sample(range(n), n))):
                     _assert_positions_in_initial_cells(h)
+
+
+def _assert_sent_automorphisms_sound(g):
+    """Every automorphism automorphism_sending returns, over all pairs of
+    distinct vertices of each equitable cell, is one, sends a to b, and
+    b is in a's orbit under canonical_raw's generators; returns how many
+    pairs it settled."""
+    cells = equitable_partition(g.n, g.adj)
+    gens = canonical_raw(g.n, g.adj)[2]
+    found = 0
+    for cell in cells:
+        for a in cell:
+            for b in cell:
+                sigma = (None if a == b
+                         else automorphism_sending(g.adj, cells, a, b))
+                if sigma is None:
+                    continue
+                found += 1
+                assert sigma[a] == b
+                assert g.relabel(list(sigma)).adj == g.adj
+                assert 1 << b in orbit(1 << a, gens)
+    assert cells == equitable_partition(g.n, g.adj)  # only read
+    return found
+
+
+def _random_regular(rng, n, d):
+    """A uniform pairing of n * d stubs, redrawn until it is simple."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        adj = [0] * n
+        for u, v in zip(stubs[::2], stubs[1::2]):
+            if u == v or adj[u] >> v & 1:
+                break
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        else:
+            return Graph(n, adj)
+
+
+def test_automorphism_sending_is_sound():
+    """The in-step candidate automorphism is checked before it is
+    returned: every class on at most 7 vertices, and seeded graphs on
+    8..10 vertices, each in two labellings: G(n, p), and regular graphs,
+    whose equitable partition is one cell, so that the first vertices
+    the two sides individualize next often do not correspond."""
+    rng = random.Random(20261018)
+    found = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            found += _assert_sent_automorphisms_sound(g)
+    sample = [random_graph(rng, n, p) for n in range(8, 11)
+              for p in (0.1, 0.3, 0.5, 0.7, 0.9) for _ in range(10)]
+    sample += [_random_regular(rng, n, d) for n, d in
+               ((8, 3), (9, 4), (10, 3), (10, 4)) for _ in range(5)]
+    for g in sample:
+        for h in (g, g.relabel(rng.sample(range(g.n), g.n))):
+            found += _assert_sent_automorphisms_sound(h)
+    assert found > 0

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from satgraph.search import (SearchConstraints, clear_cache, enumerate_classes,
                              satnum_exact, saturated_classes, tstar_scan)
 from satgraph import constructions as cons
 
-from conftest import burnside_class_count, labeled_class_count
+from conftest import burnside_class_count, labeled_class_count, random_graph
 
 
 def test_class_counts_brute_force_n_le_5():
@@ -347,3 +348,42 @@ def test_parent_test_decisions_match_canonical_form_reference():
     _final_level_against_reference(
         8, SearchConstraints(forbidden=(clique(3),)))
     _final_level_against_reference(8, SearchConstraints(max_degree=3))
+
+
+def test_parent_test_decisions_match_reference_wider():
+    """The reference decision check on all graphs on 8 vertices, which
+    drops duplicates, and on triangle-free graphs on 9.  The check
+    ignores the patterns embedded through k: the reference accepts
+    children that contain one (C4-free n=9 fails it for that reason), so
+    it takes no configuration that forbids a path, cycle or tree."""
+    assert _final_level_against_reference(8, SearchConstraints()) > 0
+    _final_level_against_reference(
+        9, SearchConstraints(forbidden=(clique(3),)))
+
+
+# SHA-256 of the adjacency rows enumerate_classes(9) returns, in order;
+# computed with the enumerator that settled tied minimizer cells by twins
+# and canonical forms only.
+A000088_N9_DIGEST = ("06bc9faa443ea2fca8fd7bf4fd7ed5b7"
+                     "2ca306dd8b0de55e520948e79ffca1c9")
+
+
+def test_all_graphs_n9_oeis_a000088_and_digest():
+    classes = enumerate_classes(9)
+    assert len(classes) == 274668
+    digest = hashlib.sha256(repr([adj for adj, _ in classes]).encode())
+    assert digest.hexdigest() == A000088_N9_DIGEST
+
+
+def test_masked_profile_equals_profile_of_deleted_graph():
+    """The profile read off C's rows with w masked out is the profile of
+    C - w, here in a random relabelling of C, on seeded G(n, p) graphs."""
+    rng = random.Random(20261018)
+    for n in range(2, 11):
+        for p in (0.2, 0.5, 0.8):
+            g = random_graph(rng, n, p)
+            perm = rng.sample(range(n), n)
+            h = g.relabel(perm)
+            for w in range(n):
+                assert (search._profile(g.adj, w)
+                        == search._profile(h.delete_vertex(perm[w]).adj))
