@@ -10,7 +10,8 @@ The search individualizes one vertex v of the first non-singleton cell
 at a time and re-refines with {v} as the only splitter.  That gives the
 same ordered partition as enqueueing every cell: the parent partition is
 equitable, so no parent cell splits anything, nor does the rest of v's
-cell once {v} has split every cell by adjacency to v.
+cell once {v} has split every cell by adjacency to v.  Refinement stops
+as soon as the partition is discrete, since no splitter can split it.
 
 Refinement and individualization only ever replace a cell by its parts,
 in place, so no vertex leaves its cell of the initial partition
@@ -20,13 +21,17 @@ The enumerator relies on this to find the canonical deletion vertex in
 the last cell of invariant minimizers, and passes the partition it has
 computed into canonical_raw as ``cells`` so it is not computed twice.
 
-automorphism_sending runs one path of the same search in step on two
-copies of a partition: it individualizes a on one and b on the other,
-then the first vertex of the first non-singleton cell on both, and reads
-a bijection off the two discrete partitions.  The bijection is returned
+automorphism_sending runs one path of the same search on two copies of
+a partition: it individualizes a on one and b on the other, then the
+first vertex of the first non-singleton cell on each, and reads a
+bijection off the two discrete partitions.  The bijection is returned
 only after an edge-by-edge check, so an accepted pair is always in one
-orbit; a refusal proves nothing.  The enumerator uses it to settle a
-tied minimizer cell with no canonical form.
+orbit; a refusal proves nothing.  The enumerator uses it, through
+automorphisms_from, which computes a's side once for every b, to settle
+a tied minimizer cell with no canonical form.  Comparing the cell sizes
+of the two sides step by step would only reject earlier: when the
+bijection is an automorphism, it maps each partition of a's side onto
+the one of b's side at the same step.
 
 Each node extends its parent's prefix columns (one per leading singleton
 cell) by the columns of its new singletons only, and prunes by
@@ -56,7 +61,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from .graph import Graph, bits
+from .graph import Graph
 
 AdjRows = Sequence[int]
 
@@ -65,28 +70,41 @@ def _refine(adj: AdjRows, cells: list[list[int]],
             queue: Iterable[int]) -> list[list[int]]:
     """Equitable refinement (1-dim WL with cell splitting).
 
-    ``queue`` holds the splitter masks that may split a cell; every new
-    cell is enqueued too, so the fixpoint is equitable.  Entries of
+    ``cells`` partitions the vertices of ``adj``.  ``queue`` holds the
+    splitter masks that may split a cell; every new cell is enqueued too,
+    so the fixpoint is equitable.  Refinement stops once the partition is
+    discrete, as no splitter left in the queue could split it.  Entries of
     ``cells`` are replaced, never changed in place, so callers may share
     cell lists.  Split parts are ordered by increasing neighbor count.
     """
+    n, m = len(adj), len(cells)
     queue = deque(queue)
-    while queue:
+    while queue and m < n:
         smask = queue.popleft()
         i = 0
-        while i < len(cells):
+        while i < m:
             cell = cells[i]
-            if len(cell) > 1:
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                if len(groups) > 1:
-                    parts = [groups[c] for c in sorted(groups)]
-                    cells[i:i + 1] = parts
-                    queue.extend(sum(1 << v for v in p) for p in parts)
-                    i += len(parts)
-                    continue
             i += 1
+            if len(cell) == 1:
+                continue
+            c = (adj[cell[0]] & smask).bit_count()
+            for v in cell:
+                if (adj[v] & smask).bit_count() != c:
+                    break
+            else:  # smask does not split the cell
+                continue
+            groups: dict[int, list[int]] = {}
+            for v in cell:
+                groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
+            parts = [groups[c] for c in sorted(groups)]
+            cells[i - 1:i] = parts
+            for part in parts:
+                mask = 0
+                for v in part:
+                    mask |= 1 << v
+                queue.append(mask)
+            i += len(parts) - 1
+            m += len(parts) - 1
     return cells
 
 
@@ -98,40 +116,51 @@ def _individualize(adj: AdjRows, cells: list[list[int]], i: int,
     return _refine(adj, cells[:i] + [[v], rest] + cells[i + 1:], [1 << v])
 
 
+def automorphisms_from(adj: AdjRows, cells: list[list[int]], a: int):
+    """The function ``b -> automorphism_sending(adj, cells, a, b)``, which
+    computes a's side of the path once for every b."""
+    i = next(i for i, cell in enumerate(cells) if a in cell)
+
+    def leaf(v: int) -> list[list[int]]:
+        part = _individualize(adj, cells, i, v)
+        while len(part) < len(adj):
+            j = next(j for j, cell in enumerate(part) if len(cell) > 1)
+            part = _individualize(adj, part, j, part[j][0])
+        return part
+
+    left = leaf(a)
+
+    def sending(b: int) -> tuple[int, ...] | None:
+        sigma = [0] * len(adj)
+        for (u,), (v,) in zip(left, leaf(b)):
+            sigma[u] = v
+        for u, row in enumerate(adj):
+            image = 0
+            while row:
+                low = row & -row
+                image |= 1 << sigma[low.bit_length() - 1]
+                row ^= low
+            if image != adj[sigma[u]]:
+                return None
+        return tuple(sigma)
+
+    return sending
+
+
 def automorphism_sending(adj: AdjRows, cells: list[list[int]], a: int,
                          b: int) -> tuple[int, ...] | None:
     """An automorphism of the graph that sends a to b, or None where this
     one-path search finds none.
 
     ``cells`` is the graph's equitable partition, with a and b distinct
-    vertices of one cell.  a and b are individualized in step, on two
-    copies of it, and then the first vertex of the first non-singleton
-    cell on each side, until both partitions are discrete; position by
-    position the two give a bijection.  It is returned only when it
-    maps every row onto the row of the image, edge by edge.  None proves
-    nothing: the cell sizes parted, or the vertices chosen on the two
-    sides did not correspond, and a and b may still lie in one orbit."""
-    i = next(i for i, cell in enumerate(cells) if a in cell)
-    left = _individualize(adj, cells, i, a)
-    right = _individualize(adj, cells, i, b)
-    while True:
-        if list(map(len, left)) != list(map(len, right)):
-            return None
-        i = next((i for i, cell in enumerate(left) if len(cell) > 1), None)
-        if i is None:
-            break
-        left = _individualize(adj, left, i, left[i][0])
-        right = _individualize(adj, right, i, right[i][0])
-    sigma = [0] * len(adj)
-    for (u,), (v,) in zip(left, right):
-        sigma[u] = v
-    for u, row in enumerate(adj):
-        image = 0
-        for w in bits(row):
-            image |= 1 << sigma[w]
-        if image != adj[sigma[u]]:
-            return None
-    return tuple(sigma)
+    vertices of one cell.  a and b are individualized on two copies of
+    it, and then the first vertex of the first non-singleton cell on each
+    side, until both partitions are discrete; position by position the
+    two give a bijection.  It is returned only when it maps every row
+    onto the row of the image, edge by edge.  None proves nothing: the
+    vertices chosen on the two sides did not correspond, and a and b may
+    still lie in one orbit."""
+    return automorphisms_from(adj, cells, a)(b)
 
 
 def equitable_partition(n: int, adj: AdjRows) -> list[list[int]]:
@@ -176,8 +205,11 @@ class _Canonizer:
         while k < len(cells) and len(cells[k]) == 1:
             v = cells[k][0]
             col = 0
-            for u in bits(adj[v] & placed):
-                col |= 1 << pos[u]
+            nb = adj[v] & placed
+            while nb:
+                low = nb & -nb
+                col |= 1 << pos[low.bit_length() - 1]
+                nb ^= low
             cols.append(col)
             pos[v] = k
             placed |= 1 << v
@@ -249,9 +281,11 @@ def orbit(mask: int, gens) -> set[int]:
     while todo:
         m = todo.pop()
         for g in gens:
-            image = 0
-            for v in bits(m):
-                image |= 1 << g[v]
+            image, rest = 0, m
+            while rest:
+                low = rest & -rest
+                image |= 1 << g[low.bit_length() - 1]
+                rest ^= low
             if image not in found:
                 found.add(image)
                 todo.append(image)

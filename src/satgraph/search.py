@@ -23,51 +23,49 @@ generators canonical_raw returns with P's code.  These generate all of
 Aut(P) (see canon), and they must: an orbit split between two orbits of
 a smaller group would give its class twice.
 
-The parent test rejects C when k is not an invariant minimizer.  When k
-is the only minimizer, C is accepted with no canonical form: an
-isomorphism between two such children of P fixes k and so carries one
-mask to the other by an automorphism of P, which the orbit pruning
-excludes; and no other parent class gives C, as that would take a
-second minimizer.  When k ties with others, C is accepted when w* is k
-or C - w* has P's canonical code, decided as cheaply as possible:
+The parent test rejects C when k is not an invariant minimizer.  Both
+invariant layers are decided before C's rows are built, on P's vertices
+by degree: C's degree-d vertices are P's of degree d outside S and of
+degree d - 1 in S, and sorted neighbour degrees, lists of one length,
+compare as their counts per degree class of C, negated.  When k is the
+only minimizer, C is accepted with no canonical form: an isomorphism
+between two such children of P fixes k and so carries one mask to the
+other by an automorphism of P, which the orbit pruning excludes; and no
+other parent class gives C, as that would take a second minimizer.
+When k ties with others, C is accepted when w* is k or C - w* has P's
+canonical code, decided as cheaply as possible:
   * when every minimizer is a twin of k (N(u) - k = N(k) - u, so the
-    transposition (u k) is an automorphism), w* is in k's orbit and C is
-    accepted with no partition and no canonical form;
-  * otherwise C's initial equitable partition is computed.  The
-    invariant is constant on its cells and canonical_raw keeps every
-    vertex inside its initial cell (see canon), so w* lies in the last
-    cell L of minimizers.  If k is in L and every u in L is a twin of k
-    or, at the final order, the image of k under an automorphism that
-    canon.automorphism_sending found and checked edge by edge, L is
-    inside k's orbit and C is accepted.  A candidate that fails proves
-    nothing (the one-path search may have paired vertices that do not
-    correspond), so it falls back to the canonical form, never to a
-    rejection.  Below the final order C's form is computed after
-    acceptance anyway, for the next level's code and generators, so no
-    candidate is tried there.  If L is one vertex w other than k, w is
-    w* and only the deletion check C - w is computed; else C's
-    canonical form (given the partition) names w*.
-  * a deletion check first compares the sorted (degree, sorted
-    neighbour degrees) pairs of C - w*, read off C's rows with w*
-    masked out, with P's, computed once per parent at its first
-    deletion check.  These pairs are an isomorphism invariant, so a
-    difference rejects C; only equal pairs need C - w*'s canonical code.
+    transposition (u k) is an automorphism), w* is in k's orbit;
+  * otherwise C's equitable partition is computed.  The invariant is
+    constant on its cells and canonical_raw keeps every vertex inside
+    its initial cell (see canon), so w* lies in the last cell L of
+    minimizers.  If k is in L and every u in L is a twin of k or, at the
+    final order, the image of k under an automorphism that canon found
+    from k's leaf, computed once per child, and checked edge by edge, L
+    is inside k's orbit.  A candidate that fails proves nothing, so it
+    falls back to the canonical form, never to a rejection; below the
+    final order C's form follows acceptance anyway, so none is tried.
+    If L is one vertex w other than k, w is w* and only the deletion
+    check C - w is needed; else C's canonical form names w*;
+  * a deletion check compares the sorted (degree, sorted neighbour
+    degrees) pairs of C - w*, read off C's rows with w* masked out, with
+    P's, computed once per parent; only equal pairs, an isomorphism
+    invariant, need the canonical code of C - w*'s rows.
 Two accepted children of one parent with w* in k's orbit are never
 isomorphic, by the argument for a unique minimizer.  Only a child
 accepted with w* outside k's orbit (a pseudo-similar deletion) can
 duplicate another, so only in a parent with such a child are the
 ambiguous children deduplicated, by canonical code in mask order,
-keeping the first.  Each class therefore appears exactly once overall,
-with the representative a deduplication of every ambiguous child
-would keep.
+keeping the first: the representative a deduplication of every
+ambiguous child would keep.
 
-Canonical forms are computed only where they are needed: for ambiguous
-children that neither the partition nor a candidate automorphism
-settles, for deletion checks that the profile does not reject, for the
-ambiguous children of a parent that needs deduplication, for every
-child accepted below the final order (its code and generators serve the
-next level), and in saturated_classes for the saturated graphs, whose
-codes order the reports.
+Canonical forms are computed only where needed: for ambiguous children
+nothing above settles, for deletion checks the profile does not reject,
+for deduplication, for every child accepted below the final order (its
+code and generators serve the next level), and for the saturated
+graphs, whose codes order the reports.  saturated_classes decides clique
+and star saturation on the rows and builds a Graph only for the classes
+it returns.
 
 Constraints enforced during generation must be hereditary and
 label-invariant: degree caps and monotone forbidden subgraphs qualify
@@ -85,7 +83,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .canon import (automorphism_sending, canonical_raw, equitable_partition,
+from .canon import (automorphisms_from, canonical_raw, equitable_partition,
                     orbit)
 from .counting import count_pattern, embed, find_clique
 from .errors import DomainError, NoneExistError
@@ -251,50 +249,92 @@ def _profile(adj, drop: int = -1):
                   for v in range(len(adj)) if v != drop)
 
 
+def _delete(adj, w: int) -> list[int]:
+    """The rows of the graph on the rows adj less the vertex w, the
+    vertices above w shifted down by one, as Graph.delete_vertex gives."""
+    low = (1 << w) - 1
+    return [a & low | a >> (w + 1) << w for v, a in enumerate(adj) if v != w]
+
+
+def _degree_masks(deg) -> list[int]:
+    """masks[x]: the vertices of degree x, for x up to one above the
+    largest degree in deg."""
+    masks = [0] * (max(deg) + 2)
+    for v, x in enumerate(deg):
+        masks[x] |= 1 << v
+    return masks
+
+
+def _minimizers(adjP, dmasks, k: int, nmask: int) -> int | None:
+    """The vertices other than k that tie with k on the invariant (degree,
+    sorted neighbour degrees) in the child C = P + k with neighbourhood
+    nmask, as a mask, or None when one of them is smaller.  nmask gives k
+    minimum degree in C, and dmasks is _degree_masks of P's degrees."""
+    d = nmask.bit_count()
+    # C's degree classes: P's by degree, each vertex of nmask one up; at
+    # d = 0 nmask is empty, so dmasks[-1] adds nothing
+    tied = dmasks[d] & ~nmask | dmasks[d - 1] & nmask
+    if not tied:
+        return 0
+    # sorted neighbour degrees, lists of length d, compare as their counts
+    # per degree class of C from d upwards, negated
+    classes = [tied | 1 << k] + [dmasks[x] & ~nmask | dmasks[x - 1] & nmask
+                                 for x in range(d + 1, len(dmasks))]
+    kkey = [-(nmask & c).bit_count() for c in classes]
+    for v in bits(tied):
+        row = adjP[v] | 1 << k if nmask >> v & 1 else adjP[v]
+        key = [-(row & c).bit_count() for c in classes]
+        if key < kkey:
+            return None
+        if key != kkey:
+            tied &= ~(1 << v)
+    return tied
+
+
 def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden,
                final: bool = True, memo: dict | None = None):
     """Parent test for the child C = P + new vertex k with neighborhood
     nmask, a mask that already gives k minimum degree in C.
 
     final says C has the search's full order, so no canonical form of C
-    follows acceptance; memo caches P's profile across P's children.
-    Returns None for a rejected child, else (adj, ambiguous, cells,
-    canon, moved): ambiguous says k ties with another invariant
-    minimizer; cells and canon are C's equitable partition and
-    canonical_raw triple, each None where the decision did without it;
-    moved says w* lies outside k's orbit, so C may duplicate another
-    child of P."""
-    adj_child = tuple(a | (1 << k) if nmask >> v & 1 else a
-                      for v, a in enumerate(adjP)) + (nmask,)
+    follows acceptance; memo caches, across P's children, P's vertices by
+    degree and P's profile.  Returns None for a rejected child, else
+    (adj, ambiguous, cells, canon, moved): ambiguous says k ties with
+    another invariant minimizer; cells and canon are C's equitable
+    partition and canonical_raw triple, each None where the decision did
+    without it; moved says w* lies outside k's orbit, so C may duplicate
+    another child of P."""
+    memo = {} if memo is None else memo
+    if "dmasks" not in memo:
+        memo["dmasks"] = _degree_masks(degP)
+    tied = _minimizers(adjP, memo["dmasks"], k, nmask)
+    if tied is None:
+        return None
+    rows = list(adjP)
+    for v in bits(nmask):
+        rows[v] |= 1 << k
+    adj_child = tuple(rows) + (nmask,)
     if forbidden and _child_violates(adj_child, k, forbidden):
         return None
-    n = k + 1
-    deg = [degP[v] + (nmask >> v & 1) for v in range(k)] + [nmask.bit_count()]
-    argmin = [v for v in range(n) if deg[v] == deg[k]]
-    if len(argmin) > 1:
-        # second invariant layer: sorted neighbor degrees
-        prof = {v: sorted(deg[u] for u in bits(adj_child[v])) for v in argmin}
-        pmin = min(prof.values())
-        if prof[k] != pmin:
-            return None
-        argmin = [v for v in argmin if prof[v] == pmin]
-    if len(argmin) == 1:
+    if not tied:
         return adj_child, False, None, None, False
-    rowk = adj_child[k]
+    n = k + 1
+    notk = ~(1 << k)
 
     def twin(u: int) -> bool:  # the transposition (u k) is in Aut(C)
-        return u == k or adj_child[u] & ~(1 << k) == rowk & ~(1 << u)
+        return adj_child[u] & notk == nmask & ~(1 << u)
 
-    if all(map(twin, argmin)):  # w* is in k's orbit
+    if all(map(twin, bits(tied))):  # w* is in k's orbit
         return adj_child, True, None, None, False
     cells = equitable_partition(n, adj_child)
     # the minimizers are a union of cells, and w* is in the last of them
-    last = next(c for c in reversed(cells) if c[0] in argmin)
-    if k in last and all(
-            twin(u) or final and automorphism_sending(
-                adj_child, cells, k, u) is not None
-            for u in last):  # L, and so w*, lies in k's orbit
-        return adj_child, True, cells, None, False
+    tied |= 1 << k
+    last = next(c for c in reversed(cells) if tied >> c[0] & 1)
+    if k in last:
+        rest = [u for u in last if u != k and not twin(u)]
+        send = final and rest and automorphisms_from(adj_child, cells, k)
+        if not rest or send and all(send(u) is not None for u in rest):
+            return adj_child, True, cells, None, False  # L is in k's orbit
     if len(last) == 1:  # w* is the one vertex of the cell, not k
         wstar, canon = last[0], None
     else:
@@ -302,11 +342,10 @@ def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden,
         wstar = max(last, key=canon[1].index)  # the one placed last
     if wstar == k:
         return adj_child, True, cells, canon, False
-    memo = {} if memo is None else memo
     if "profile" not in memo:  # P's, at its first child's deletion check
         memo["profile"] = _profile(adjP)
     if _profile(adj_child, wstar) != memo["profile"] or canonical_raw(
-            k, Graph(n, adj_child).delete_vertex(wstar).adj)[0] != codeP:
+            k, _delete(adj_child, wstar))[0] != codeP:
         return None
     # a lone w* is in a cell without k, so outside k's orbit
     moved = canon is None or (1 << wstar) not in orbit(1 << k, canon[2])
@@ -409,27 +448,30 @@ def saturated_classes(n: int, f: PatternSpec,
     classes = enumerate_classes(n, gen, workers)
     sat = []
     for adj, code in classes:
-        g = Graph(n, adj)
-        if not auto_prune and contains_copy(g, f) is not None:
+        if not auto_prune and contains_copy(Graph(n, adj), f) is not None:
             continue
-        if _saturated_quick(g, f):
+        if _saturated_quick(n, adj, f):
             if code is None:
                 code = canonical_raw(n, adj)[0]
-            sat.append((g, code))
+            sat.append((Graph(n, adj), code))
     sat.sort(key=lambda item: item[1])
     result = ([g for g, _ in sat], len(classes))
     _SAT_CACHE[key] = result
     return result
 
 
-def _saturated_quick(g: Graph, f: PatternSpec) -> bool:
-    """Freeness is guaranteed by generation; check every non-edge."""
-    for u in range(g.n):
-        row = g.adj[u]
-        for v in range(u + 1, g.n):
-            if not row >> v & 1 and not creates_copy(g, f, u, v):
-                return False
-    return True
+def _saturated_quick(n: int, adj, f: PatternSpec) -> bool:
+    """Does every non-edge uv of the graph on the rows adj, f-free by
+    generation, create a copy of f?  For a clique K_t, when u and v have
+    a common K_{t-2}; for a star with r edges, when r = 1 or u or v has
+    degree r - 1 or more; other patterns are embedded through uv."""
+    if f.kind == "star":
+        low = [v for v, a in enumerate(adj) if a.bit_count() < f.size - 1]
+        return all(adj[u] >> v & 1 for u in low for v in low if u < v)
+    g = None if f.kind == "clique" else Graph(n, adj)
+    return all(creates_copy(g, f, u, v) if g is not None else
+               find_clique(adj, adj[u] & adj[v], f.size - 2) is not None
+               for u in range(n) for v in bits(~adj[u] & (1 << n) - (2 << u)))
 
 
 def clear_cache():

@@ -2,10 +2,12 @@
 
 import hashlib
 import random
+from collections import deque
 from itertools import permutations
 
-from satgraph.canon import (are_isomorphic, automorphism_sending,
-                            canonical_form, canonical_graph, canonical_raw,
+from satgraph.canon import (_refine, are_isomorphic, automorphism_sending,
+                            automorphisms_from, canonical_form,
+                            canonical_graph, canonical_raw,
                             equitable_partition, orbit)
 from satgraph.graph import (Graph, build_graph, complete_graph, cycle_graph,
                             empty_graph, path_graph, star_graph)
@@ -300,3 +302,92 @@ def test_automorphism_sending_is_sound():
         for h in (g, g.relabel(rng.sample(range(g.n), g.n))):
             found += _assert_sent_automorphisms_sound(h)
     assert found > 0
+
+
+def _refine_reference(adj, cells, queue):
+    """The refinement kernel as it was before it stopped at a discrete
+    partition, kept as the oracle for the faster one."""
+    queue = deque(queue)
+    while queue:
+        smask = queue.popleft()
+        i = 0
+        while i < len(cells):
+            cell = cells[i]
+            if len(cell) > 1:
+                groups = {}
+                for v in cell:
+                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
+                if len(groups) > 1:
+                    parts = [groups[c] for c in sorted(groups)]
+                    cells[i:i + 1] = parts
+                    queue.extend(sum(1 << v for v in p) for p in parts)
+                    i += len(parts)
+                    continue
+            i += 1
+    return cells
+
+
+def _refinement_inputs(g):
+    """(cells, queue) pairs as equitable_partition and _individualize
+    hand them to the kernel: the degree cells with every cell queued, and
+    each vertex of each non-singleton cell individualized with {v}
+    queued, in the equitable partition and then down the path that
+    individualizes the first vertex of the first non-singleton cell."""
+    groups = {}
+    for v in range(g.n):
+        groups.setdefault(g.degree(v), []).append(v)
+    cells = [groups[d] for d in sorted(groups)]
+    queue = [sum(1 << v for v in c) for c in cells]
+    yield cells, queue
+    todo = [_refine_reference(g.adj, [c[:] for c in cells], queue)]
+    for depth, part in enumerate(todo):
+        for i, cell in enumerate(part):
+            if len(cell) == 1:
+                continue
+            for v in cell:
+                split = part[:i] + [[v], [u for u in cell if u != v]] + part[i + 1:]
+                yield split, [1 << v]
+                if v == cell[0] and depth < g.n:
+                    todo.append(_refine_reference(
+                        g.adj, [c[:] for c in split], [1 << v]))
+            break
+
+
+def test_refine_equals_reference_kernel():
+    """The refinement kernel, which stops at a discrete partition, gives
+    exactly the ordered partition of the kernel it replaced, on every
+    input equitable_partition and _individualize would hand it: every
+    class on at most 7 vertices and seeded G(n, p) graphs on 8..12."""
+    rng = random.Random(20261018)
+    sample = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    sample += [random_graph(rng, n, p) for n in range(8, 13)
+               for p in (0.1, 0.3, 0.5, 0.7, 0.9) for _ in range(6)]
+    checked = 0
+    for g in sample:
+        for cells, queue in _refinement_inputs(g):
+            expected = _refine_reference(g.adj, [c[:] for c in cells], queue)
+            assert _refine(g.adj, [c[:] for c in cells], queue) == expected
+            checked += 1
+        expected = _refine_reference(g.adj, *next(_refinement_inputs(g)))
+        assert equitable_partition(g.n, g.adj) == expected
+    assert checked > 5000
+
+
+def test_automorphisms_from_shares_one_path():
+    """One function from automorphisms_from, called for every b of a's
+    cell in turn, returns what automorphism_sending returns for each
+    pair: every class on at most 6 vertices and seeded G(n, p) graphs on
+    7..9 vertices."""
+    rng = random.Random(20261018)
+    sample = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    sample += [random_graph(rng, n, p) for n in range(7, 10)
+               for p in (0.2, 0.5, 0.8) for _ in range(5)]
+    for g in sample:
+        cells = equitable_partition(g.n, g.adj)
+        for cell in (c for c in cells if len(c) > 1):
+            for a in cell:
+                send = automorphisms_from(g.adj, cells, a)
+                for b in cell:
+                    if b != a:
+                        assert send(b) == automorphism_sending(
+                            g.adj, cells, a, b)

@@ -11,7 +11,7 @@ from satgraph.canon import canonical_form, canonical_raw
 from satgraph.errors import DomainError, NoneExistError
 from satgraph.graph import Graph, decode_graph6
 from satgraph.patterns import clique, cycle, path, star, tree_pattern
-from satgraph.saturation import is_saturated, star_sat_structure
+from satgraph.saturation import contains_copy, is_saturated, star_sat_structure
 from satgraph.search import (SearchConstraints, clear_cache, enumerate_classes,
                              enumerate_graphs, exists_saturated_with,
                              satnum_exact, saturated_classes, tstar_scan)
@@ -387,3 +387,78 @@ def test_masked_profile_equals_profile_of_deleted_graph():
             for w in range(n):
                 assert (search._profile(g.adj, w)
                         == search._profile(h.delete_vertex(perm[w]).adj))
+
+
+def _minimizers_reference(adjP, k, nmask):
+    """The list-based invariant layers: the other vertices of the child
+    that tie with k on (degree, sorted neighbour degrees), as a mask, or
+    None when one of them is smaller."""
+    adj = [a | 1 << k if nmask >> v & 1 else a for v, a in enumerate(adjP)]
+    adj.append(nmask)
+    deg = [a.bit_count() for a in adj]
+    inv = [(deg[v], sorted(deg[u] for u in range(k + 1) if adj[v] >> u & 1))
+           for v in range(k + 1)]
+    if min(inv) < inv[k]:
+        return None
+    return sum(1 << v for v in range(k) if inv[v] == inv[k])
+
+
+def test_minimizers_on_degree_masks_equal_list_based_layers():
+    """The invariant layers computed on degree-class masks reject and tie
+    exactly as the sorted lists do: every mask the mask rule lets through
+    on seeded G(n, p) parents with 1..9 vertices."""
+    rng = random.Random(20261018)
+    outcomes = set()
+    for k in range(1, 10):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for _ in range(8):
+                adjP = random_graph(rng, k, p).adj
+                degP = [a.bit_count() for a in adjP]
+                dmasks = search._degree_masks(degP)
+                for mask in search._candidates(adjP, degP, (), k + 1, None):
+                    got = search._minimizers(adjP, dmasks, k, mask)
+                    assert got == _minimizers_reference(adjP, k, mask)
+                    outcomes.add(None if got is None else got > 0)
+    assert outcomes == {None, False, True}
+
+
+def _random_free_graph(rng, n, f):
+    """Edges added in a random order while the graph stays f-free, stopping
+    after a random number of tries: some are saturated, most not."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    g = Graph(n, [0] * n)
+    for u, v in pairs[:rng.randint(0, len(pairs))]:
+        h = g.with_edge(u, v)
+        if contains_copy(h, f) is None:
+            g = h
+    return g
+
+
+def test_row_level_saturation_equals_is_saturated():
+    """The saturation verdict saturated_classes reads off the rows equals
+    is_saturated's for K2..K5 and S1..S4: every f-free class on at most 7
+    vertices, and seeded random f-free graphs on 5..10 vertices."""
+    rng = random.Random(20261018)
+    verdicts = []
+    for f in [clique(t) for t in range(2, 6)] + [star(r) for r in range(1, 5)]:
+        graphs = [Graph(n, adj) for n in range(1, 8) for adj, _ in
+                  enumerate_classes(n, SearchConstraints(forbidden=(f,)))]
+        graphs += [_random_free_graph(rng, n, f) for n in range(5, 11)
+                   for _ in range(30)]
+        for g in graphs:
+            verdict = search._saturated_quick(g.n, g.adj, f)
+            assert verdict == is_saturated(g, f).is_saturated, (f, g.adj)
+            verdicts.append(verdict)
+    assert verdicts.count(True) > 500 and verdicts.count(False) > 500
+
+
+def test_deleted_rows_equal_delete_vertex():
+    """The rows of C - w read off C's rows are Graph.delete_vertex's, on
+    seeded G(n, p) graphs."""
+    rng = random.Random(20261018)
+    for n in range(1, 11):
+        for p in (0.2, 0.5, 0.8):
+            g = random_graph(rng, n, p)
+            for w in range(n):
+                assert search._delete(g.adj, w) == list(g.delete_vertex(w).adj)
