@@ -141,7 +141,14 @@ def _read_graph(text: str) -> Graph:
     return decode_graph6(text)
 
 
+_PLAIN = frozenset({bool, int, float, str, type(None)})
+
+
 def _jsonable(x):
+    # leaves by exact type first: isinstance against Fraction, an ABC
+    # subclass, is slow, and adjacency lists are mostly int leaves
+    if type(x) in _PLAIN:
+        return x
     if isinstance(x, Fraction):
         return {"numerator": x.numerator, "denominator": x.denominator,
                 "value": float(x)}

@@ -11,8 +11,8 @@ from __future__ import annotations
 from math import comb
 
 from .errors import DomainError
-from .graph import Graph, bits
-from .patterns import PatternSpec, is_tree
+from .graph import Graph
+from .patterns import PatternSpec, embedding_plan, is_tree
 
 
 def count_cliques(g: Graph, r: int) -> int:
@@ -144,31 +144,21 @@ def embed(host: Graph, pattern: Graph, pinned: dict[int, int] | None = None,
     number of maps, or with ``first`` the first map found (a tuple indexed
     by pattern vertex) or None.
     """
-    np = pattern.n
-    if np > host.n:
+    pinned = pinned or {}
+    return run_plan(embedding_plan(pattern, tuple(pinned)), host.adj,
+                    host.degrees(), tuple(pinned.values()), first)
+
+
+def run_plan(plan, hadj, hdeg, pins=(), first: bool = False):
+    """embed for a plan from patterns.embedding_plan, on the host rows hadj
+    with degrees hdeg; pins are the host vertices of the plan's pinned
+    pattern vertices, in order."""
+    pos, back, need = plan
+    np = len(pos)
+    if np > len(hadj):
         return None if first else 0
-    # pinned vertices first, then each vertex touching a placed one when
-    # possible, highest degree first: early edges prune hardest
-    pdeg = pattern.degrees()
-    order = list(pinned or ())
-    placed = sum(1 << v for v in order)
-    remaining = [v for v in range(np) if not placed >> v & 1]
-    while remaining:
-        pool = [v for v in remaining if pattern.adj[v] & placed] or remaining
-        pick = max(pool, key=pdeg.__getitem__)
-        order.append(pick)
-        placed |= 1 << pick
-        remaining.remove(pick)
-    pos = {v: i for i, v in enumerate(order)}
-    # for each position: earlier-placed pattern neighbors, the host vertices
-    # it may take, and the degree its image needs
-    back = [[pos[u] for u in bits(pattern.adj[v]) if pos[u] < i]
-            for i, v in enumerate(order)]
-    full = (1 << host.n) - 1
-    domain = [1 << pinned[v] if pinned and v in pinned else full for v in order]
-    need = [pdeg[v] for v in order]
-    hdeg = host.degrees()
-    hadj = host.adj
+    full = (1 << len(hadj)) - 1
+    domain = [1 << pins[i] if i < len(pins) else full for i in range(np)]
     image = [0] * np
     total = 0
 
@@ -194,7 +184,7 @@ def embed(host: Graph, pattern: Graph, pinned: dict[int, int] | None = None,
     try:
         assign(0, 0)
     except _Hit:
-        return tuple(image[pos[v]] for v in range(np))
+        return tuple(image[i] for i in pos)
     return None if first else total
 
 

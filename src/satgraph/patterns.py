@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .canon import canonical_raw, orbit
 from .errors import DomainError, FormatError
-from .graph import (Graph, complete_graph, cycle_graph, decode_graph6,
+from .graph import (Graph, bits, complete_graph, cycle_graph, decode_graph6,
                     encode_graph6, path_graph, star_graph)
 
 _SIMPLE = re.compile(r"^([KSPC])(\d+)$")
@@ -68,17 +68,50 @@ class PatternSpec:
             return cycle_graph(self.size)
         return self.graph
 
+    def _orbit_firsts(self, tuples) -> tuple:
+        """The first of each Aut(F)-orbit among the vertex tuples of F.  A
+        tuple (x0, x1, ...) is the vertex set {x0, n + x1, ...} on copies
+        of F's n vertices, which each generator moves in step."""
+        g = self._graph
+        gens = [tuple(p) + tuple(g.n + x for x in p)
+                for p in canonical_raw(g.n, g.adj)[2]]
+        firsts, covered = [], set()
+        for tup in tuples:
+            mask = sum(1 << i * g.n + x for i, x in enumerate(tup))
+            if mask not in covered:
+                firsts.append(tup)
+                covered |= orbit(mask, gens)
+        return tuple(firsts)
+
     @cached_property
     def orbit_representatives(self) -> tuple[int, ...]:
         """The least vertex of each Aut(F)-orbit of the pattern graph F."""
+        return tuple(v for v, in self._orbit_firsts(
+            (v,) for v in range(self._graph.n)))
+
+    @cached_property
+    def arc_representatives(self) -> tuple[tuple[int, int], ...]:
+        """The least arc (a, b), ab an edge of F, of each Aut(F)-orbit of
+        arcs."""
         g = self._graph
-        gens = canonical_raw(g.n, g.adj)[2]
-        reps, covered = [], 0
-        for v in range(g.n):
-            if not covered >> v & 1:
-                reps.append(v)
-                covered |= sum(orbit(1 << v, gens))
-        return tuple(reps)
+        return self._orbit_firsts((a, b) for a in range(g.n)
+                                  for b in bits(g.adj[a]))
+
+    @cached_property
+    def plans(self) -> dict[int, tuple]:
+        """Embedding plans for a copy through k pinned host vertices, by k:
+        at 0 one unpinned plan; at 1 one per Aut(F)-orbit of vertices and
+        at 2 one per Aut(F)-orbit of arcs (a, b), pinned first.  A copy
+        through a host vertex or edge composed with an automorphism of F
+        moves the vertex or arc on it over its whole orbit.  The null
+        pattern has no vertex to pin, and every graph holds it."""
+        g = self._graph
+        free = (embedding_plan(g),)
+        return {0: free,
+                1: tuple(embedding_plan(g, (v,))
+                         for v in self.orbit_representatives) or free,
+                2: tuple(embedding_plan(g, arc)
+                         for arc in self.arc_representatives)}
 
     @property
     def order(self) -> int:
@@ -145,6 +178,30 @@ def parse_pattern(text: str) -> PatternSpec:
     if text.startswith("G:"):
         return graph_pattern(decode_graph6(text[2:]))
     raise FormatError(f"cannot parse pattern {text!r}")
+
+
+def embedding_plan(pattern: Graph, pinned: tuple[int, ...] = ()):
+    """The position at which counting.run_plan places each pattern vertex,
+    and for each position the earlier positions of the vertex's pattern
+    neighbours and the degree its image needs, as (pos, back, need).
+
+    The pinned vertices come first; then each vertex touching a placed one
+    when possible, highest degree first: early edges prune hardest."""
+    pdeg = pattern.degrees()
+    order = list(pinned)
+    placed = sum(1 << v for v in order)
+    remaining = [v for v in range(pattern.n) if not placed >> v & 1]
+    while remaining:
+        pool = [v for v in remaining if pattern.adj[v] & placed] or remaining
+        pick = max(pool, key=pdeg.__getitem__)
+        order.append(pick)
+        placed |= 1 << pick
+        remaining.remove(pick)
+    pos = {v: i for i, v in enumerate(order)}
+    back = tuple(tuple(pos[u] for u in bits(pattern.adj[v]) if pos[u] < i)
+                 for i, v in enumerate(order))
+    return (tuple(pos[v] for v in range(pattern.n)), back,
+            tuple(pdeg[v] for v in order))
 
 
 def is_tree(g: Graph) -> bool:

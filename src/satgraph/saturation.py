@@ -5,10 +5,17 @@ missing edge creates one.  Complete graphs are vacuously F-saturated
 whenever they are F-free (the universal quantifier over missing edges
 is empty).
 
-The per-non-edge creation check anchors the pattern on the added edge:
-since G itself is F-free, any copy in G+uv must use uv, so it suffices
-to try every pattern edge on (u,v) in both orientations.  Equivalence
-with a full search is property-tested.
+Since G itself is F-free, any copy of F in G+uv uses uv.  One kernel,
+first_uncreated, decides every missing edge a vertex row at a time: for
+each u, the non-neighbours v > u still open.  A star S_r is created by
+uv exactly when u or v has degree r-1 or more, so one mask of the
+vertices of lower degree settles a row.  A clique K_t is created exactly
+when u and v have a common K_{t-2}: the kernel walks the K_{t-2}s inside
+N(u) and clears every open target adjacent to all of one, pruning a
+branch whose common neighbourhood holds no open target.  Only the
+targets still open are tried for other patterns, by embeddings that pin
+one pattern arc of each Aut(F)-orbit of arcs onto (u, v) (copy_through).
+Equivalence with a full search is property-tested.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .canon import canonical_form
-from .counting import count_embeddings, embed, find_clique
+from .counting import count_embeddings, find_clique, run_plan
 from .errors import DomainError
 from .graph import Graph, bits, encode_graph6
 from .patterns import PatternSpec, graph_pattern
@@ -64,7 +71,15 @@ def contains_copy(g: Graph, f: PatternSpec):
         return None
     if f.kind == "clique":
         return find_clique(g.adj, (1 << g.n) - 1, f.size)
-    return embed(g, f.to_graph(), first=True)
+    return run_plan(f.plans[0][0], g.adj, g.degrees(), (), True)
+
+
+def copy_through(f: PatternSpec, adj, deg, anchor: tuple[int, ...]) -> bool:
+    """Does the graph on the rows adj, with degrees deg, hold a copy of f
+    through anchor: a pattern vertex on the host vertex k for anchor (k,),
+    or a pattern edge on the host edge uv for anchor (u, v)?"""
+    return any(run_plan(plan, adj, deg, anchor, True) is not None
+               for plan in f.plans[len(anchor)])
 
 
 def creates_copy(g: Graph, f: PatternSpec, u: int, v: int) -> bool:
@@ -72,25 +87,88 @@ def creates_copy(g: Graph, f: PatternSpec, u: int, v: int) -> bool:
 
     Assumes g is f-free, so any new copy must pass through uv.
     """
-    if f.kind == "star":
-        r = f.size
-        if r == 1:
-            return True
-        return g.degree(u) >= r - 1 or g.degree(v) >= r - 1
-    if f.kind == "clique":
-        common = g.adj[u] & g.adj[v]
-        return find_clique(g.adj, common, f.size - 2) is not None
-    gp = g.with_edge(u, v)
-    pat = f.to_graph()
-    for a in range(pat.n):
-        for b in bits(pat.adj[a]):
-            if b < a:
-                continue
-            if embed(gp, pat, {a: u, b: v}, first=True) is not None:
-                return True
-            if embed(gp, pat, {a: v, b: u}, first=True) is not None:
-                return True
-    return False
+    return _row_kernel(g.adj, [f])(u, 1 << v) is None
+
+
+def first_uncreated(adj, fs):
+    """The first missing edge uv, in lexicographic order, of the graph on
+    the rows adj, free of every member of fs, that creates none of them,
+    and the number of missing edges up to it; (None, the number of
+    missing edges) when each creates some member."""
+    n = len(adj)
+    first = _row_kernel(adj, fs)
+    checked = 0
+    for u in range(n):
+        row = ~adj[u] & (1 << n) - (2 << u)
+        v = first(u, row)
+        if v is not None:
+            return (u, v), checked + (row & (2 << v) - 1).bit_count()
+        checked += row.bit_count()
+    return None, checked
+
+
+def _row_kernel(adj, fs):
+    """For the graph on the rows adj, free of every member of fs, the
+    function (u, targets) -> the least v in the mask targets of
+    non-neighbours of u such that adding uv creates no member, or None."""
+    # a non-edge creating K_t or S_r creates every smaller clique or star,
+    # so the smallest of each decides for all of them
+    t = r = None
+    others = []
+    for f in fs:
+        if f.kind == "clique":
+            t = f.size if t is None else min(t, f.size)
+        elif f.kind == "star":
+            r = f.size if r is None else min(r, f.size)
+        else:
+            others.append(f)
+    n = len(adj)
+    low = (1 << n) - 1
+    if r is not None or others:
+        deg = [a.bit_count() for a in adj]
+        host = list(adj)
+        if r is not None:
+            low = sum(1 << w for w in range(n) if deg[w] < r - 1)
+
+    def first(u: int, targets: int):
+        if not low >> u & 1:
+            return None
+        targets &= low
+        if t is not None and targets:
+            targets = _uncovered(adj, adj[u], targets, t - 2)
+        for v in bits(targets):
+            if not others:
+                return v
+            host[u] |= 1 << v
+            host[v] |= 1 << u
+            deg[u] += 1
+            deg[v] += 1
+            created = any(copy_through(f, host, deg, (u, v)) for f in others)
+            host[u], host[v] = adj[u], adj[v]
+            deg[u] -= 1
+            deg[v] -= 1
+            if not created:
+                return v
+        return None
+
+    return first
+
+
+def _uncovered(adj, cand: int, targets: int, size: int) -> int:
+    """The vertices of targets adjacent to every vertex of no size-clique
+    inside the mask cand; size <= 0 leaves none, the empty clique."""
+    if size <= 0:
+        return 0
+    m = cand
+    while m and targets:
+        low = m & -m
+        m ^= low
+        w = low.bit_length() - 1
+        # later vertices only: each clique is met in ascending order once
+        hit = targets & adj[w]
+        if hit:
+            targets &= ~hit | _uncovered(adj, adj[w] & m, hit, size - 1)
+    return targets
 
 
 def is_saturated(g: Graph, f: PatternSpec) -> SaturationCertificate:
@@ -108,17 +186,10 @@ def is_family_saturated(g: Graph, fs: list[PatternSpec]) -> SaturationCertificat
             return SaturationCertificate(g, patterns, is_free=False,
                                          is_saturated=False,
                                          free_violation=(str(f), hit))
-    checked = 0
-    for u, v in combinations(range(g.n), 2):
-        if g.has_edge(u, v):
-            continue
-        checked += 1
-        if not any(creates_copy(g, f, u, v) for f in patterns):
-            return SaturationCertificate(g, patterns, is_free=True,
-                                         is_saturated=False,
-                                         unsaturated_witness=(u, v),
-                                         checked_nonedges=checked)
-    return SaturationCertificate(g, patterns, is_free=True, is_saturated=True,
+    witness, checked = first_uncreated(g.adj, patterns)
+    return SaturationCertificate(g, patterns, is_free=True,
+                                 is_saturated=witness is None,
+                                 unsaturated_witness=witness,
                                  checked_nonedges=checked)
 
 

@@ -63,9 +63,9 @@ Canonical forms are computed only where needed: for ambiguous children
 nothing above settles, for deletion checks the profile does not reject,
 for deduplication, for every child accepted below the final order (its
 code and generators serve the next level), and for the saturated
-graphs, whose codes order the reports.  saturated_classes decides clique
-and star saturation on the rows and builds a Graph only for the classes
-it returns.
+graphs, whose codes order the reports.  saturated_classes decides
+saturation on the rows with saturation's row kernel, first_uncreated,
+and builds a Graph only for the classes it returns.
 
 Constraints enforced during generation must be hereditary and
 label-invariant: degree caps and monotone forbidden subgraphs qualify
@@ -85,11 +85,13 @@ from dataclasses import dataclass, replace
 
 from .canon import (automorphisms_from, canonical_raw, equitable_partition,
                     orbit)
-from .counting import count_pattern, embed, find_clique
+from .counting import count_pattern, find_clique
 from .errors import DomainError, NoneExistError
 from .graph import Graph, bits, encode_graph6
 from .patterns import PatternSpec, is_connected
-from .saturation import contains_copy, creates_copy
+# perfbench/tracing.py wraps search.creates_copy, so the name stays here
+from .saturation import (contains_copy, copy_through, creates_copy,  # noqa: F401
+                         first_uncreated)
 
 HARD_CAP = 10
 
@@ -142,12 +144,9 @@ def _child_violates(adj_child, k: int, forbidden) -> bool:
     """Does the child contain a forbidden pattern through the new vertex k?
 
     Parents are pattern-free by induction, so anchoring at k is a full
-    containment test.  One pattern vertex per Aut(F)-orbit is pinned to
-    k: composing a copy with an automorphism of F moves the vertex on k
-    over its whole orbit."""
-    g = Graph(k + 1, adj_child)
-    return any(embed(g, f.to_graph(), {pv: k}, first=True) is not None
-               for f in forbidden for pv in f.orbit_representatives)
+    containment test."""
+    deg = [a.bit_count() for a in adj_child]
+    return any(copy_through(f, adj_child, deg, (k,)) for f in forbidden)
 
 
 def _grow_level(parents, k: int, max_degree, clique, forbidden, final: bool):
@@ -390,7 +389,9 @@ def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints
         raise DomainError(f"n={n} above the desk-scale cap {HARD_CAP}",
                           code="cap")
     cap, clique, forb = _effective(n, constraints)
-    level = _base_level(n == 1)
+    # the induction starts from K_1, unless it holds a forbidden pattern
+    violates = clique == 1 or _child_violates((0,), 0, forb)
+    level = [] if violates else _base_level(n == 1)
     k = 1
     while k < n and (workers <= 1 or len(level) < 2 * workers):
         level = _grow_level(level, k, cap, clique, forb, k + 1 == n)
@@ -461,17 +462,9 @@ def saturated_classes(n: int, f: PatternSpec,
 
 
 def _saturated_quick(n: int, adj, f: PatternSpec) -> bool:
-    """Does every non-edge uv of the graph on the rows adj, f-free by
-    generation, create a copy of f?  For a clique K_t, when u and v have
-    a common K_{t-2}; for a star with r edges, when r = 1 or u or v has
-    degree r - 1 or more; other patterns are embedded through uv."""
-    if f.kind == "star":
-        low = [v for v, a in enumerate(adj) if a.bit_count() < f.size - 1]
-        return all(adj[u] >> v & 1 for u in low for v in low if u < v)
-    g = None if f.kind == "clique" else Graph(n, adj)
-    return all(creates_copy(g, f, u, v) if g is not None else
-               find_clique(adj, adj[u] & adj[v], f.size - 2) is not None
-               for u in range(n) for v in bits(~adj[u] & (1 << n) - (2 << u)))
+    """Does every non-edge of the graph on the n rows adj, f-free by
+    generation, create a copy of f?"""
+    return first_uncreated(adj, (f,))[0] is None
 
 
 def clear_cache():

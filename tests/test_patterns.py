@@ -52,3 +52,29 @@ def test_orbit_representatives_find_every_anchored_copy():
                                is not None for pv in pins)
                 assert (found(f.orbit_representatives)
                         == found(range(f.order))), (f, host.adj, k)
+
+
+def test_arc_representatives_find_every_copy_through_an_edge():
+    """One pinned arc per Aut(F)-orbit of arcs finds a copy through a host
+    edge exactly when pinning every arc does."""
+    spider = tree_pattern(t_star())
+    paw = graph_pattern(Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)]))
+    assert spider.arc_representatives == ((0, 1), (1, 0), (1, 2), (2, 1))
+    assert cycle(5).arc_representatives == ((0, 1),)
+    assert path(4).arc_representatives == ((0, 1), (1, 0), (1, 2))
+    assert len(paw.arc_representatives) == 5
+    rng = random.Random(78)
+    patterns = (spider, paw, path(4), path(5), cycle(4), star(3),
+                parse_pattern("G:C^"))
+    for _ in range(40):
+        host = random_graph(rng, rng.randint(4, 8), rng.choice((0.3, 0.5)))
+        for f in patterns:
+            pat = f.to_graph()
+            arcs = [(a, b) for a in range(pat.n) for b in range(pat.n)
+                    if pat.has_edge(a, b)]
+            for u, v in host.edges():
+                def found(pins):
+                    return any(embed(host, pat, {a: u, b: v}, first=True)
+                               is not None for a, b in pins)
+                assert (found(f.arc_representatives)
+                        == found(arcs)), (f, host.adj, u, v)

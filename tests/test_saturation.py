@@ -1,5 +1,10 @@
 """Freeness/saturation verdicts, certificates, and universal-vertex peeling."""
 
+import hashlib
+import json
+import random
+from itertools import combinations
+
 import pytest
 
 from satgraph.canon import are_isomorphic
@@ -11,7 +16,7 @@ from satgraph.patterns import clique, parse_pattern, star, tree_pattern
 from satgraph.saturation import (contains_copy, creates_copy,
                                  is_family_saturated, is_saturated,
                                  peel_universal, star_sat_structure)
-from satgraph import constructions as cons
+from satgraph import bounds, constructions as cons
 
 from conftest import all_labeled_graphs, random_graph
 
@@ -241,3 +246,78 @@ def test_clique_witness_agrees_with_clique_count(rng):
                 if hit is not None:
                     assert all(g.has_edge(u, v) for u in hit for v in hit
                                if u != v)
+
+
+def _certificate_cases():
+    """(graph, family) pairs the certificate digest covers: the acceptance
+    grid's constructions, cycle_pendants against the spider, seeded G(n, p)
+    and seeded free graphs on 1..12 vertices against single patterns, and
+    a few two-member families."""
+    spider = tree_pattern(cons.t_star())
+    for t in range(2, 8):
+        for n in range(t, 2 * t + 5):
+            for m in range(t):
+                if n - m >= t and (m or (t - 1) * n % 2 == 0):
+                    yield cons.kr_graph(t, n, m), [star(t)]
+    for t in range(2, 7):
+        for n in range(t, 15):
+            yield cons.split_graph(n, t), [clique(t)]
+    for n in range(9, 16):
+        yield cons.g4n(n), [clique(4)]
+    for t in (5, 6):
+        for n in range(t + 5, 16):
+            yield cons.gtn(t, n), [clique(t)]
+    for r in (3, 4):
+        for t in range(3, 7):
+            for c in range(r - 1):
+                lo = max(t + 1, bounds.partite_threshold(r, t, c))
+                for n in range(lo, lo + 6):
+                    yield cons.partite_saturated(n, r, t, c)[0], [star(t)]
+    yield cons.g49(), [clique(4)]
+    yield cons.fig1(), [star(5)]
+    yield cons.fig2(), [star(5)]
+    for k in range(3, 11):
+        yield cons.cycle_pendants(k), [spider]
+    singles = ([clique(t) for t in range(1, 6)]
+               + [star(r) for r in range(1, 5)]
+               + [parse_pattern(s) for s in ("P4", "C4", "C5")] + [spider])
+    rnd = random.Random(20261019)
+    for n in range(1, 13):
+        for p in (0.2, 0.5, 0.8):
+            g = random_graph(rnd, n, p)
+            for f in singles:
+                yield g, [f]
+        for f in singles:
+            pairs = list(combinations(range(n), 2))
+            rnd.shuffle(pairs)
+            g = empty_graph(n)
+            for u, v in pairs[:rnd.randint(0, len(pairs))]:
+                h = g.with_edge(u, v)
+                if contains_copy(h, f) is None:
+                    g = h
+            yield g, [f]
+    pairs = [[clique(4), star(3)], [parse_pattern("P4"), clique(3)],
+             [parse_pattern("C4"), clique(3)], [star(3), parse_pattern("C5")],
+             [spider, clique(3)]]
+    for n in range(4, 10):
+        for fam in pairs:
+            yield random_graph(rnd, n, 0.3), fam
+            yield cons.cycle_pendants(n - 1), fam
+
+
+def _certificate_digest() -> str:
+    h = hashlib.sha256()
+    for g, fam in _certificate_cases():
+        cert = is_family_saturated(g, fam)
+        h.update(json.dumps(cert.to_json(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+# SHA-256 over _certificate_cases() of is_family_saturated's JSON
+# certificates; computed with the per-non-edge creation loop.
+CERTIFICATE_GOLDEN_DIGEST = ("421ae55dfdfaf9fdf6a1b0ba32fc29f7"
+                             "dfbeabb528febed5d4b33ce79eaac3e4")
+
+
+def test_certificate_golden_digest():
+    assert _certificate_digest() == CERTIFICATE_GOLDEN_DIGEST

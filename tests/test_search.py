@@ -10,7 +10,8 @@ from satgraph import search
 from satgraph.canon import canonical_form, canonical_raw
 from satgraph.errors import DomainError, NoneExistError
 from satgraph.graph import Graph, decode_graph6
-from satgraph.patterns import clique, cycle, path, star, tree_pattern
+from satgraph.patterns import (clique, cycle, parse_pattern, path, star,
+                               tree_pattern)
 from satgraph.saturation import contains_copy, is_saturated, star_sat_structure
 from satgraph.search import (SearchConstraints, clear_cache, enumerate_classes,
                              enumerate_graphs, exists_saturated_with,
@@ -462,3 +463,19 @@ def test_deleted_rows_equal_delete_vertex():
             g = random_graph(rng, n, p)
             for w in range(n):
                 assert search._delete(g.adj, w) == list(g.delete_vertex(w).adj)
+
+
+@pytest.mark.parametrize("text", ["K1", "G:@", "G:?"])
+def test_patterns_on_at_most_one_vertex_have_no_saturated_graph(text):
+    """Every graph on n >= 1 vertices holds K1, the one-vertex graph and
+    the null graph, so none is free of them, as is_saturated says, and
+    the search finds no saturated graph."""
+    f = parse_pattern(text)
+    for n in range(1, 6):
+        clear_cache()
+        assert not is_saturated(Graph(n, [0] * n), f).is_free
+        assert enumerate_classes(n, SearchConstraints(forbidden=(f,))) == []
+        assert saturated_classes(n, f) == ([], 0)
+        with pytest.raises(NoneExistError):
+            satnum_exact(n, f, star(1))
+    clear_cache()
