@@ -149,7 +149,7 @@ def embed(host: Graph, pattern: Graph, pinned: dict[int, int] | None = None,
                     host.degrees(), tuple(pinned.values()), first)
 
 
-def run_plan(plan, hadj, hdeg, pins=(), first: bool = False):
+def run_plan(plan, hadj, hdeg, pins, first: bool):
     """embed for a plan from patterns.embedding_plan, on the host rows hadj
     with degrees hdeg; pins are the host vertices of the plan's pinned
     pattern vertices, in order."""

@@ -62,13 +62,6 @@ class SaturationCertificate:
 
 def contains_copy(g: Graph, f: PatternSpec):
     """Some copy of f in g as a vertex tuple (pattern order), or None."""
-    if f.kind == "star":
-        r = f.size
-        for v in range(g.n):
-            if g.degree(v) >= r:
-                leaves = g.neighbors(v)[:r]
-                return tuple([v] + leaves)
-        return None
     if f.kind == "clique":
         return find_clique(g.adj, (1 << g.n) - 1, f.size)
     return run_plan(f.plans[0][0], g.adj, g.degrees(), (), True)
