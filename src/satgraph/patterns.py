@@ -68,19 +68,25 @@ class PatternSpec:
             return cycle_graph(self.size)
         return self.graph
 
-    def _orbit_firsts(self, tuples) -> tuple:
-        """The first of each Aut(F)-orbit among the vertex tuples of F.  A
-        tuple (x0, x1, ...) is the vertex set {x0, n + x1, ...} on copies
-        of F's n vertices, which each generator moves in step."""
+    @cached_property
+    def _generators(self):
+        """Generators of Aut(F), on two copies of F's n vertices moved in
+        step: see _orbit_firsts."""
         g = self._graph
-        gens = [tuple(p) + tuple(g.n + x for x in p)
+        return [tuple(p) + tuple(g.n + x for x in p)
                 for p in canonical_raw(g.n, g.adj)[2]]
+
+    def _orbit_firsts(self, tuples) -> tuple:
+        """The first of each Aut(F)-orbit among the vertex tuples of F,
+        with at most two entries.  A tuple (x0, x1) is the vertex set
+        {x0, n + x1} on two copies of F's n vertices."""
+        n = self._graph.n
         firsts, covered = [], set()
         for tup in tuples:
-            mask = sum(1 << i * g.n + x for i, x in enumerate(tup))
+            mask = sum(1 << i * n + x for i, x in enumerate(tup))
             if mask not in covered:
                 firsts.append(tup)
-                covered |= orbit(mask, gens)
+                covered |= orbit(mask, self._generators)
         return tuple(firsts)
 
     @cached_property

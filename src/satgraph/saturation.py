@@ -62,6 +62,13 @@ class SaturationCertificate:
 
 def contains_copy(g: Graph, f: PatternSpec):
     """Some copy of f in g as a vertex tuple (pattern order), or None."""
+    if f.kind == "star":
+        r = f.size
+        for v in range(g.n):
+            if g.degree(v) >= r:
+                leaves = g.neighbors(v)[:r]
+                return tuple([v] + leaves)
+        return None
     if f.kind == "clique":
         return find_clique(g.adj, (1 << g.n) - 1, f.size)
     return run_plan(f.plans[0][0], g.adj, g.degrees(), (), True)
@@ -129,9 +136,9 @@ def _row_kernel(adj, fs):
         targets &= low
         if t is not None and targets:
             targets = _uncovered(adj, adj[u], targets, t - 2)
+        if not (others and targets):
+            return (targets & -targets).bit_length() - 1 if targets else None
         for v in bits(targets):
-            if not others:
-                return v
             host[u] |= 1 << v
             host[v] |= 1 << u
             deg[u] += 1
