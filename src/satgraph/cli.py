@@ -363,9 +363,16 @@ def run(argv) -> int:
             _emit("check-sat", {"graph": args.graph,
                                 "forbid": [str(p) for p in pats]},
                   cert.to_json(), started)
-        elif args.command == "satnum" and args.mode == "star-star":
-            result = _star_star_payload(args.n, args.r, args.t)
-            _emit("satnum star-star", _params(args), result, started)
+        elif args.command == "m0" or getattr(args, "mode", None) == "star-star":
+            if args.r >= args.t:
+                result = {"satnum": 0, "m0": None, "tie": None, "xbar": None,
+                          "note": "trivially zero: r >= t"}
+            else:
+                inst = staropt.star_star_instance(args.n, args.r, args.t)
+                result = {"satnum": inst.satnum, "m0": inst.m0,
+                          "tie": inst.tie, "xbar": inst.xbar}
+            _emit("m0" if args.command == "m0" else "satnum star-star",
+                  _params(args), result, started)
         elif args.command == "satnum":
             cons_ = SearchConstraints(max_degree=args.max_degree,
                                       connected_only=args.connected_only)
@@ -373,9 +380,6 @@ def run(argv) -> int:
                                parse_pattern(args.count), cons_,
                                workers=args.workers)
             _emit("satnum exact", _params(args), rep.to_json(), started)
-        elif args.command == "m0":
-            result = _star_star_payload(args.n, args.r, args.t)
-            _emit("m0", _params(args), result, started)
         elif args.command == "tie-ts":
             _emit("tie-ts", {"max": args.max},
                   {"ts": staropt.tie_ts(args.max)}, started)
@@ -411,15 +415,6 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-def _star_star_payload(n: int, r: int, t: int) -> dict:
-    if r >= t:
-        return {"satnum": 0, "m0": None, "tie": None, "xbar": None,
-                "note": "trivially zero: r >= t"}
-    inst = staropt.star_star_instance(n, r, t)
-    return {"satnum": inst.satnum, "m0": inst.m0, "tie": inst.tie,
-            "xbar": inst.xbar}
 
 
 def main() -> None:

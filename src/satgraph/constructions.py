@@ -38,26 +38,22 @@ def near_regular(a: int, b: int) -> Graph:
     if b <= a:
         raise DomainError(f"R_{{{a},{b}}} does not exist: need b >= a+1",
                           code="existence")
-    edges: set[tuple[int, int]] = set()
-
-    def add(u, v):
-        u, v = u % b, v % b
-        edges.add((u, v) if u < v else (v, u))
-
-    if a % 2 == 1 and b % 2 == 1:
-        for s in range(1, (a - 1) // 2 + 1):
-            for i in range(b):
-                add(i, i + s)
-        for i in range(1, (b - 1) // 2 + 1):
-            add(i, i + (b - 1) // 2)
+    h = b // 2
+    if a % 2 == 0:
+        extra = []
+    elif b % 2 == 1:
+        extra = [(i, i + h) for i in range(1, h + 1)]
     else:
-        for s in range(1, a // 2 + 1):
-            for i in range(b):
-                add(i, i + s)
-        if a % 2 == 1:  # b even here
-            for i in range(b // 2):
-                add(i, i + b // 2)
-    return build_graph(b, sorted(edges))
+        extra = [(i, i + h) for i in range(h)]
+    return _circulant(b, range(1, a // 2 + 1), extra)
+
+
+def _circulant(n: int, offsets, extra=()) -> Graph:
+    """The graph on 0..n-1 joining each i to i + s (mod n) for every offset
+    s, plus the edges extra."""
+    pairs = [(i, (i + s) % n) for s in offsets for i in range(n)]
+    return build_graph(n, sorted({(min(e), max(e))
+                                  for e in pairs + list(extra)}))
 
 
 def kr_graph(t: int, n: int, m: int) -> Graph:
@@ -105,27 +101,15 @@ def regular_multipartite(a: int, r: int, k: int):
             f"no {k}-regular graph on {n} vertices: odd degree sum "
             f"(K_{{a,...,a}} with ar odd is overfull)", code="overfull")
     full_offsets = [s for s in range(1, (n - 1) // 2 + 1) if s % r != 0]
-    edges: list[tuple[int, int]] = []
-
-    def layer(s):
-        return [(i, (i + s) % n) for i in range(n)]
-
     if k % 2 == 0:
-        for s in full_offsets[:k // 2]:
-            edges += layer(s)
+        g = _circulant(n, full_offsets[:k // 2])
+    elif n % 2 == 0 and (n // 2) % r != 0:  # the antipodal matching
+        g = _circulant(n, full_offsets[:(k - 1) // 2],
+                       [(i, i + n // 2) for i in range(n // 2)])
     else:
-        antipodal_ok = n % 2 == 0 and (n // 2) % r != 0
-        if antipodal_ok:
-            for s in full_offsets[:(k - 1) // 2]:
-                edges += layer(s)
-            edges += [(i, i + n // 2) for i in range(n // 2)]
-        else:
-            # consecutive-pair matching lives inside the offset-1 layer
-            for s in [s for s in full_offsets if s != 1][:(k - 1) // 2]:
-                edges += layer(s)
-            edges += [(2 * i, 2 * i + 1) for i in range(n // 2)]
-    norm = sorted({(min(u, v), max(u, v)) for u, v in edges})
-    g = build_graph(n, norm)
+        # consecutive-pair matching lives inside the offset-1 layer
+        g = _circulant(n, [s for s in full_offsets if s != 1][:(k - 1) // 2],
+                       [(2 * i, 2 * i + 1) for i in range(n // 2)])
     parts = tuple(tuple(range(p, n, r)) for p in range(r))
     return g, parts
 

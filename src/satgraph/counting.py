@@ -3,7 +3,9 @@
 All counts are of unlabeled subgraph copies (not induced): a copy of H
 in G is a subset of V(G) together with a subset of G's edges forming a
 graph isomorphic to H.  Star counts for r >= 2 reduce to the degree sum
-identity  s_r(G) = sum_v C(deg v, r);  s_1 is the edge count.
+identity  s_r(G) = sum_v C(deg v, r);  s_1 is the edge count.  Paths and
+cycles share one walker over simple paths, _paths_from: a k-cycle is a
+path from its smallest vertex whose last vertex is adjacent to it.
 """
 
 from __future__ import annotations
@@ -69,67 +71,42 @@ def count_stars(g: Graph, r: int) -> int:
 
 
 def count_paths(g: Graph, k: int) -> int:
-    """Unlabeled simple paths on k vertices (ordered traversals halved)."""
+    """Unlabeled simple paths on k vertices: walks from every start vertex,
+    each path met once from either end."""
     if k < 2:
         raise DomainError("paths need at least 2 vertices")
     if k > g.n:
         return 0
-    if k == 2:
-        return g.num_edges()
-    adj = g.adj
-    total = 0
-
-    def extend(v: int, visited: int, left: int):
-        nonlocal total
-        if left == 0:
-            total += 1
-            return
-        m = adj[v] & ~visited
-        while m:
-            low = m & -m
-            m ^= low
-            u = low.bit_length() - 1
-            extend(u, visited | low, left - 1)
-
-    for start in range(g.n):
-        extend(start, 1 << start, k - 1)
-    return total // 2
+    return sum(_paths_from(g.adj, v, 1 << v, k - 1, -1)
+               for v in range(g.n)) // 2
 
 
 def count_cycles(g: Graph, k: int) -> int:
-    """Unlabeled k-cycles: rooted at their smallest vertex, direction halved."""
+    """Unlabeled k-cycles: paths from their smallest vertex v through
+    vertices above it back to a neighbour of v, each met in both
+    directions."""
     if k < 3:
         raise DomainError("cycles need at least 3 vertices")
     if k > g.n:
         return 0
     adj = g.adj
+    return sum(_paths_from(adj, v, (2 << v) - 1, k - 1, adj[v])
+               for v in range(g.n)) // 2
+
+
+def _paths_from(adj, v: int, visited: int, left: int, ends: int) -> int:
+    """Simple paths that extend v by left >= 1 more vertices outside the
+    mask visited, the last of them in the mask ends."""
+    m = adj[v] & ~visited
+    if left == 1:
+        return (m & ends).bit_count()
     total = 0
-
-    def extend(root: int, v: int, visited: int, left: int):
-        nonlocal total
-        if left == 0:
-            if adj[v] >> root & 1:
-                total += 1
-            return
-        # restrict to vertices above the root so each cycle is rooted once
-        m = adj[v] & ~visited
-        while m:
-            low = m & -m
-            m ^= low
-            u = low.bit_length() - 1
-            extend(root, u, visited | low, left - 1)
-
-    for root in range(g.n):
-        below = (1 << (root + 1)) - 1
-        m = adj[root] & ~below
-        start_mask = 1 << root
-        mm = m
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            u = low.bit_length() - 1
-            extend(root, u, start_mask | low | below, k - 2)
-    return total // 2
+    while m:
+        low = m & -m
+        m ^= low
+        total += _paths_from(adj, low.bit_length() - 1, visited | low,
+                             left - 1, ends)
+    return total
 
 
 class _Hit(Exception):

@@ -163,17 +163,18 @@ class Graph:
 
     def delete_vertex(self, x: int) -> "Graph":
         """Remove vertex ``x``; vertices above ``x`` shift down by one."""
-        keep = [v for v in range(self.n) if v != x]
-        pos = {v: i for i, v in enumerate(keep)}
-        adj = [0] * (self.n - 1)
-        for v in keep:
-            for u in bits(self.adj[v]):
-                if u != x:
-                    adj[pos[v]] |= 1 << pos[u]
-        return Graph(self.n - 1, adj)
+        if not 0 <= x < self.n:
+            raise DomainError(f"vertex {x} outside 0..{self.n - 1}",
+                              code="index")
+        return self.induced([v for v in range(self.n) if v != x])
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
+        """The subgraph induced on distinct ``vertices``, ``vertices[i]``
+        becoming vertex i."""
         pos = {v: i for i, v in enumerate(vertices)}
+        if len(pos) != len(vertices) or not all(0 <= v < self.n for v in pos):
+            raise DomainError(f"vertices {list(vertices)!r} must be distinct "
+                              f"and inside 0..{self.n - 1}", code="index")
         adj = [0] * len(vertices)
         for v in vertices:
             for u in bits(self.adj[v]):

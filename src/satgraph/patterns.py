@@ -10,13 +10,30 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .canon import canonical_raw, orbit
 from .errors import DomainError, FormatError
 from .graph import (Graph, bits, complete_graph, cycle_graph, decode_graph6,
                     encode_graph6, path_graph, star_graph)
 
-_SIMPLE = re.compile(r"^([KSPC])(\d+)$")
+
+class _Kind(NamedTuple):
+    letter: str            # the text form is letter + size
+    least: int             # the least size; a smaller one raises too_small
+    too_small: str
+    build: Callable        # size -> the pattern graph
+    extra: int             # vertices of one copy beyond the size
+
+
+_SYMBOLIC = {
+    "clique": _Kind("K", 1, "clique parameter must be >= 1", complete_graph, 0),
+    "star": _Kind("S", 1, "star parameter must be >= 1", star_graph, 1),
+    "path": _Kind("P", 2, "path needs at least 2 vertices", path_graph, 0),
+    "cycle": _Kind("C", 3, "cycle needs at least 3 vertices", cycle_graph, 0),
+}
+_KIND_OF_LETTER = {row.letter: kind for kind, row in _SYMBOLIC.items()}
+_SIMPLE = re.compile(rf"^([{''.join(_KIND_OF_LETTER)}])(\d+)$")
 
 
 @dataclass(frozen=True)
@@ -34,21 +51,17 @@ class PatternSpec:
     graph: Graph | None = field(default=None, compare=True)
 
     def __post_init__(self):
-        if self.kind == "clique" and self.size < 1:
-            raise DomainError("clique parameter must be >= 1")
-        if self.kind == "star" and self.size < 1:
-            raise DomainError("star parameter must be >= 1")
-        if self.kind == "path" and self.size < 2:
-            raise DomainError("path needs at least 2 vertices")
-        if self.kind == "cycle" and self.size < 3:
-            raise DomainError("cycle needs at least 3 vertices")
-        if self.kind in ("tree", "graph"):
+        row = _SYMBOLIC.get(self.kind)
+        if row is not None:
+            if self.size < row.least:
+                raise DomainError(row.too_small)
+        elif self.kind in ("tree", "graph"):
             if self.graph is None:
                 raise DomainError(f"{self.kind} pattern needs an explicit graph")
             if self.kind == "tree" and not is_tree(self.graph):
                 raise DomainError("explicit tree payload is not a tree",
                                   code="not-a-tree")
-        elif self.kind not in ("clique", "star", "path", "cycle"):
+        else:
             raise DomainError(f"unknown pattern kind {self.kind!r}")
 
     def to_graph(self) -> Graph:
@@ -58,15 +71,8 @@ class PatternSpec:
     @cached_property
     def _graph(self) -> Graph:
         # cached in the instance dict, outside the compared and hashed fields
-        if self.kind == "clique":
-            return complete_graph(self.size)
-        if self.kind == "star":
-            return star_graph(self.size)
-        if self.kind == "path":
-            return path_graph(self.size)
-        if self.kind == "cycle":
-            return cycle_graph(self.size)
-        return self.graph
+        row = _SYMBOLIC.get(self.kind)
+        return self.graph if row is None else row.build(self.size)
 
     @cached_property
     def _generators(self):
@@ -122,23 +128,13 @@ class PatternSpec:
     @property
     def order(self) -> int:
         """Vertex count of one copy of the pattern."""
-        if self.kind == "clique":
-            return self.size
-        if self.kind == "star":
-            return self.size + 1
-        if self.kind in ("path", "cycle"):
-            return self.size
-        return self.graph.n
+        row = _SYMBOLIC.get(self.kind)
+        return self.graph.n if row is None else self.size + row.extra
 
     def name(self) -> str:
-        if self.kind == "clique":
-            return f"K{self.size}"
-        if self.kind == "star":
-            return f"S{self.size}"
-        if self.kind == "path":
-            return f"P{self.size}"
-        if self.kind == "cycle":
-            return f"C{self.size}"
+        row = _SYMBOLIC.get(self.kind)
+        if row is not None:
+            return f"{row.letter}{self.size}"
         prefix = "T" if self.kind == "tree" else "G"
         return f"{prefix}:{encode_graph6(self.graph)}"
 
@@ -173,12 +169,11 @@ def graph_pattern(g: Graph) -> PatternSpec:
 def parse_pattern(text: str) -> PatternSpec:
     m = _SIMPLE.match(text)
     if m:
-        letter = m.group(1)
         try:
             num = int(m.group(2))
         except ValueError:  # beyond int()'s digit limit
             raise FormatError("pattern parameter has too many digits")
-        return {"K": clique, "S": star, "P": path, "C": cycle}[letter](num)
+        return PatternSpec(_KIND_OF_LETTER[m.group(1)], num)
     if text.startswith("T:"):
         return tree_pattern(decode_graph6(text[2:]))
     if text.startswith("G:"):

@@ -81,7 +81,7 @@ edge to check), which carries no structural content.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .canon import (automorphisms_from, canonical_raw, equitable_partition,
                     orbit)
@@ -127,14 +127,7 @@ class SearchReport:
     workers: int = 1
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n, "forbid": self.forbid, "count": self.count,
-            "minimum": self.minimum, "witnesses": self.witnesses,
-            "witness_total": self.witness_total,
-            "graphs_examined": self.graphs_examined,
-            "saturated_found": self.saturated_found,
-            "workers": self.workers,
-        }
+        return asdict(self)
 
 
 # -- generation-time constraint machinery -----------------------------------

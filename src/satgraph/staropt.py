@@ -115,12 +115,9 @@ def xbar(r: int, t: int) -> float:
 
 
 def _kr_edge_count(t: int, n: int, m: int) -> int:
-    """Edge count of KR_{t,n}(m) (the s_1 = |E| objective)."""
-    prod = (t - 1) * (n - m)
-    if prod % 2 == 1 and m == 0:
-        raise DomainError("odd parity with m=0 has no bridge endpoint",
-                          code="bridge")
-    return comb(m, 2) + (prod + 1) // 2
+    """Edge count of KR_{t,n}(m) (the s_1 = |E| objective); the bridge
+    of an odd product needs m >= 1, which _scan_values sees to."""
+    return comb(m, 2) + ((t - 1) * (n - m) + 1) // 2
 
 
 def _scan_values(n: int, r: int, t: int) -> dict[int, int]:
@@ -138,14 +135,8 @@ def _scan_values(n: int, r: int, t: int) -> dict[int, int]:
 def m0(n: int, r: int, t: int) -> tuple[int, bool]:
     """Exact minimizer of s_r(KR_{t,n}(m)) over m (smallest on ties) and
     a flag for whether the minimum is attained more than once."""
-    if not t > r >= 1:
-        raise DomainError(f"need t > r >= 1, got t={t}, r={r}")
-    if n < 2 * t - 1:
-        raise DomainError(f"need n >= 2t-1 = {2 * t - 1}, got n={n}")
-    values = _scan_values(n, r, t)
-    best = min(values.values())
-    winners = sorted(m for m, v in values.items() if v == best)
-    return winners[0], len(winners) > 1
+    inst = star_star_instance(n, r, t)
+    return inst.m0, inst.tie
 
 
 def satnum_star_star(n: int, r: int, t: int) -> int:
@@ -215,8 +206,7 @@ def m0_lower_bounds(r: int, t: int) -> dict:
         raise DomainError("bounds require odd t >= 3")
     if not t > r >= 2:
         raise DomainError("need t > r >= 2")
-    return {"half_bound": Fraction(t + 1, 2),
-            "root_bound": (t - 1) / (r + 1) ** (1 / r)}
+    return {"half_bound": Fraction(t + 1, 2), "root_bound": m0_estimate(r, t)}
 
 
 def m0_estimate(r: int, t: int) -> float:

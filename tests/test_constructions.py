@@ -1,12 +1,15 @@
 """Named construction families: parameters, shapes, claimed properties."""
 
+import hashlib
+
 import pytest
 
 from satgraph.canon import are_isomorphic
 from satgraph.counting import count_stars
 from satgraph.errors import DomainError
 from satgraph.graph import build_graph, complete_graph, cycle_graph, join, complement
-from satgraph.patterns import clique, star
+from satgraph.graph import encode_graph6
+from satgraph.patterns import clique, parse_pattern, star
 from satgraph.saturation import is_saturated
 from satgraph import constructions as cons
 
@@ -252,3 +255,48 @@ def test_saturation_grid_spot_checks():
             assert is_saturated(cons.split_graph(n, t), clique(t)).is_saturated
     for n in range(9, 13):
         assert is_saturated(cons.g4n(n), clique(4)).is_saturated
+
+
+def _construction_and_pattern_outputs():
+    """The labelled output, or the error, of each parametrised family and
+    of parse_pattern for every symbolic kind, over small grids."""
+    calls = [(cons.near_regular, (a, b))
+             for a in range(-1, 12) for b in range(25)]
+    calls += [(cons.regular_multipartite, (a, r, k)) for a in range(6)
+              for r in range(1, 6) for k in range(-1, a * (r - 1) + 2)]
+    calls += [(cons.partite_saturated, (n, r, t, c)) for n in range(25)
+              for r in range(2, 6) for t in range(2, 6)
+              for c in range(-1, r)]
+    calls += [(cons.kr_graph, (t, n, m)) for t in range(1, 8)
+              for n in range(15) for m in range(-1, t + 1)]
+    for func, args in calls:
+        try:
+            out = func(*args)
+        except DomainError as exc:
+            yield (func.__name__, args, exc.code, str(exc))
+            continue
+        g, parts = out if isinstance(out, tuple) else (out, None)
+        yield (func.__name__, args, encode_graph6(g), parts)
+    for letter in "KSPC":
+        for size in range(-1, 9):
+            try:
+                p = parse_pattern(f"{letter}{size}")
+            except DomainError as exc:
+                yield (letter, size, exc.code, str(exc))
+                continue
+            yield (letter, size, str(p), repr(p), p.order,
+                   encode_graph6(p.to_graph()))
+
+
+# SHA-256 of the repr of each _construction_and_pattern_outputs() entry,
+# in order, computed before the circulant builder and the pattern-kind
+# table were merged.
+CONSTRUCTION_PATTERN_DIGEST = ("644409cc28a77d2a6647dba16de14216"
+                               "5914136d8fe926f2e5ea0e5183ae2305")
+
+
+def test_construction_and_pattern_golden_digest():
+    h = hashlib.sha256()
+    for entry in _construction_and_pattern_outputs():
+        h.update(repr(entry).encode())
+    assert h.hexdigest() == CONSTRUCTION_PATTERN_DIGEST

@@ -1,5 +1,7 @@
 """Counters against the naive injective-map oracle and frozen examples."""
 
+import random
+
 import pytest
 
 from satgraph.counting import (count_cliques, count_cycles,
@@ -215,3 +217,17 @@ def test_find_clique_agrees_with_count(rng):
                     assert all(mask >> v & 1 for v in hit)
                     assert all(g.has_edge(u, v) for u in hit for v in hit
                                if u != v)
+
+
+def test_long_paths_and_cycles_match_naive_oracle():
+    # every length from 6 up to the host's order and one past it, where
+    # the walker's last-step popcount closes the longest paths and cycles
+    rng = random.Random(6008)
+    for n in (6, 7, 8):
+        for p in (0.45, 0.8):
+            g = random_graph(rng, n, p)
+            for k in range(6, n + 2):
+                assert count_paths(g, k) == naive_count_copies(
+                    g, path_graph(k))
+                assert count_cycles(g, k) == naive_count_copies(
+                    g, cycle_graph(k))

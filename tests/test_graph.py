@@ -165,3 +165,20 @@ def test_constructor_rejects_bad_adjacency(n, adj):
     with pytest.raises(DomainError) as exc:
         Graph(n, adj)
     assert exc.value.code == "adjacency"
+
+
+def test_vertex_deletion_and_induced_subgraph_reject_bad_vertices():
+    for call in (lambda: empty_graph(3).delete_vertex(7),
+                 lambda: empty_graph(3).delete_vertex(3),
+                 lambda: complete_graph(3).delete_vertex(5),
+                 lambda: complete_graph(3).delete_vertex(-1),
+                 lambda: complete_graph(3).induced([1, 1]),
+                 lambda: complete_graph(3).induced([0, 5]),
+                 lambda: complete_graph(3).induced([-1, 0])):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert exc.value.code == "index"
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert g.delete_vertex(1) == build_graph(3, [(1, 2)])
+    assert g.induced([3, 2, 0]) == build_graph(3, [(0, 1)])
+    assert g.induced([]) == empty_graph(0)
