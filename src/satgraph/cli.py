@@ -284,7 +284,6 @@ def _params(args) -> dict:
 
 
 def _certify(args) -> tuple[dict, bool]:
-    from .staropt import satnum_star_star
     entries = []
     mismatches = []
     for lineno, raw in enumerate(_read_text(args.grid).split("\n"), start=1):
@@ -308,7 +307,7 @@ def _certify(args) -> tuple[dict, bool]:
         source = None
         if forbid.kind == "star" and count.kind == "star":
             if n >= 2 * forbid.size - 1:
-                formula = satnum_star_star(n, count.size, forbid.size)
+                formula = staropt.satnum_star_star(n, count.size, forbid.size)
                 source = "kr-minimum"
         elif forbid.kind == "clique" and count.kind == "star" and count.size == 1:
             formula = bnd.ehm_value(n, forbid.size)

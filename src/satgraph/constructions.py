@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from .bounds import partite_threshold
 from .errors import DomainError
-from .graph import (Graph, blow_up, build_graph, complete_graph, cycle_graph,
-                    disjoint_union, empty_graph, join)
+from .graph import (Graph, blow_up, build_graph, check_order, complete_graph,
+                    cycle_graph, disjoint_union, empty_graph, join)
 
 
 def split_graph(n: int, t: int) -> Graph:
@@ -39,18 +39,20 @@ def near_regular(a: int, b: int) -> Graph:
         raise DomainError(f"R_{{{a},{b}}} does not exist: need b >= a+1",
                           code="existence")
     h = b // 2
+    # generators, not lists: _circulant checks the order before building
     if a % 2 == 0:
-        extra = []
+        extra = ()
     elif b % 2 == 1:
-        extra = [(i, i + h) for i in range(1, h + 1)]
+        extra = ((i, i + h) for i in range(1, h + 1))
     else:
-        extra = [(i, i + h) for i in range(h)]
+        extra = ((i, i + h) for i in range(h))
     return _circulant(b, range(1, a // 2 + 1), extra)
 
 
 def _circulant(n: int, offsets, extra=()) -> Graph:
     """The graph on 0..n-1 joining each i to i + s (mod n) for every offset
     s, plus the edges extra."""
+    check_order(n)
     pairs = [(i, (i + s) % n) for s in offsets for i in range(n)]
     return build_graph(n, sorted({(min(e), max(e))
                                   for e in pairs + list(extra)}))
@@ -100,6 +102,7 @@ def regular_multipartite(a: int, r: int, k: int):
         raise DomainError(
             f"no {k}-regular graph on {n} vertices: odd degree sum "
             f"(K_{{a,...,a}} with ar odd is overfull)", code="overfull")
+    check_order(n)
     full_offsets = [s for s in range(1, (n - 1) // 2 + 1) if s % r != 0]
     if k % 2 == 0:
         g = _circulant(n, full_offsets[:k // 2])
@@ -226,6 +229,7 @@ def cycle_pendants(k: int) -> Graph:
     """C_k with one pendant vertex hanging off every cycle vertex."""
     if k < 3:
         raise DomainError("cycle_pendants needs k >= 3")
+    check_order(2 * k)
     edges = [(i, (i + 1) % k) for i in range(k)]
     edges += [(i, k + i) for i in range(k)]
     return build_graph(2 * k, edges)

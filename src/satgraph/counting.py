@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import DomainError
-from .graph import Graph
+from .graph import Graph, bits
 from .patterns import PatternSpec, embedding_plan, is_tree
 
 
@@ -203,25 +203,44 @@ def count_pattern(g: Graph, p: PatternSpec) -> int:
 
 def independence_number(g: Graph) -> int:
     """Maximum size of a pairwise non-adjacent vertex set."""
-    adj = g.adj
-    full = (1 << g.n) - 1
-    best = 0
+    return _independent_walk(g, False)[0]
 
-    def grow(cand: int, size: int):
+
+def maximum_independent_sets(g: Graph) -> list[tuple[int, ...]]:
+    """All independent sets of maximum size, as sorted vertex tuples, in
+    lexicographic order."""
+    return _independent_walk(g, True)[1]
+
+
+def _independent_walk(g: Graph, listing: bool):
+    """Branch and bound on the lowest candidate vertex, in the set first,
+    then out: the independence number and, when listing, every
+    independent set of that size in lexicographic order.  A branch is cut
+    when it cannot beat the best size so far, or when listing cannot tie
+    it."""
+    adj = g.adj
+    cut = 0 if listing else 1
+    best = 0
+    found: list[tuple[int, ...]] = []
+
+    def grow(cand: int, chosen: int):
         nonlocal best
-        if size + cand.bit_count() <= best:
+        size = chosen.bit_count()
+        if size + cand.bit_count() < best + cut:
             return
         if not cand:
-            best = max(best, size)
+            if size > best:
+                best = size
+                found.clear()
+            if listing:
+                found.append(tuple(bits(chosen)))
             return
         low = cand & -cand
-        v = low.bit_length() - 1
-        # branch: v in the set, or not
-        grow(cand & ~(adj[v] | low), size + 1)
-        grow(cand ^ low, size)
+        grow(cand & ~(adj[low.bit_length() - 1] | low), chosen | low)
+        grow(cand ^ low, chosen)
 
-    grow(full, 0)
-    return best
+    grow((1 << g.n) - 1, 0)
+    return best, found
 
 
 def count_independent_sets(g: Graph, k: int) -> int:
@@ -233,28 +252,3 @@ def count_independent_sets(g: Graph, k: int) -> int:
     full = (1 << g.n) - 1
     return _clique_count([full ^ a ^ (1 << v) for v, a in enumerate(g.adj)],
                          full, k)
-
-
-def maximum_independent_sets(g: Graph) -> list[tuple[int, ...]]:
-    """All independent sets of maximum size, as sorted vertex tuples."""
-    alpha = independence_number(g)
-    out: list[tuple[int, ...]] = []
-    adj = g.adj
-
-    def grow(cand: int, chosen: list[int]):
-        if len(chosen) == alpha:
-            out.append(tuple(chosen))
-            return
-        if len(chosen) + cand.bit_count() < alpha:
-            return
-        m = cand
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            chosen.append(v)
-            grow(m & ~adj[v], chosen)
-            chosen.pop()
-
-    grow((1 << g.n) - 1, [])
-    return out

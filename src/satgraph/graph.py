@@ -76,15 +76,21 @@ def _is_simple(n: int, adj: tuple[int, ...]) -> bool:
     return t == m
 
 
+def check_order(n: int) -> None:
+    """Reject an order outside 0..MAX_VERTICES, before rows of that size
+    are built."""
+    if n < 0 or n > MAX_VERTICES:
+        raise DomainError(f"order {n} outside supported range 0..{MAX_VERTICES}",
+                          code="capacity")
+
+
 class Graph:
     """An immutable simple graph on vertices ``0..n-1``."""
 
     __slots__ = ("n", "adj", "_hash")
 
     def __init__(self, n: int, adj: Sequence[int]):
-        if n < 0 or n > MAX_VERTICES:
-            raise DomainError(f"order {n} outside supported range 0..{MAX_VERTICES}",
-                              code="capacity")
+        check_order(n)
         self.n = n
         self.adj = tuple(adj)
         self._hash = None
@@ -141,9 +147,6 @@ class Graph:
 
     def neighbors(self, v: int) -> list[int]:
         return list(bits(self.adj[v]))
-
-    def is_complete(self) -> bool:
-        return self.num_edges() == self.n * (self.n - 1) // 2
 
     # -- derived graphs ------------------------------------------------
 
@@ -215,10 +218,12 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def empty_graph(n: int) -> Graph:
+    check_order(n)
     return Graph(n, [0] * n)
 
 
 def complete_graph(n: int) -> Graph:
+    check_order(n)
     full = (1 << n) - 1
     return Graph(n, [full ^ (1 << v) for v in range(n)])
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, NamedTuple
 
 from .canon import canonical_raw, orbit
@@ -74,40 +74,16 @@ class PatternSpec:
         row = _SYMBOLIC.get(self.kind)
         return self.graph if row is None else row.build(self.size)
 
-    @cached_property
-    def _generators(self):
-        """Generators of Aut(F), on two copies of F's n vertices moved in
-        step: see _orbit_firsts."""
-        g = self._graph
-        return [tuple(p) + tuple(g.n + x for x in p)
-                for p in canonical_raw(g.n, g.adj)[2]]
-
-    def _orbit_firsts(self, tuples) -> tuple:
-        """The first of each Aut(F)-orbit among the vertex tuples of F,
-        with at most two entries.  A tuple (x0, x1) is the vertex set
-        {x0, n + x1} on two copies of F's n vertices."""
-        n = self._graph.n
-        firsts, covered = [], set()
-        for tup in tuples:
-            mask = sum(1 << i * n + x for i, x in enumerate(tup))
-            if mask not in covered:
-                firsts.append(tup)
-                covered |= orbit(mask, self._generators)
-        return tuple(firsts)
-
-    @cached_property
+    @property
     def orbit_representatives(self) -> tuple[int, ...]:
         """The least vertex of each Aut(F)-orbit of the pattern graph F."""
-        return tuple(v for v, in self._orbit_firsts(
-            (v,) for v in range(self._graph.n)))
+        return _compiled(self._graph)[0]
 
-    @cached_property
+    @property
     def arc_representatives(self) -> tuple[tuple[int, int], ...]:
         """The least arc (a, b), ab an edge of F, of each Aut(F)-orbit of
         arcs."""
-        g = self._graph
-        return self._orbit_firsts((a, b) for a in range(g.n)
-                                  for b in bits(g.adj[a]))
+        return _compiled(self._graph)[1]
 
     @cached_property
     def plans(self) -> dict[int, tuple]:
@@ -116,14 +92,10 @@ class PatternSpec:
         at 2 one per Aut(F)-orbit of arcs (a, b), pinned first.  A copy
         through a host vertex or edge composed with an automorphism of F
         moves the vertex or arc on it over its whole orbit.  The null
-        pattern has no vertex to pin, and every graph holds it."""
-        g = self._graph
-        free = (embedding_plan(g),)
-        return {0: free,
-                1: tuple(embedding_plan(g, (v,))
-                         for v in self.orbit_representatives) or free,
-                2: tuple(embedding_plan(g, arc)
-                         for arc in self.arc_representatives)}
+        pattern has no vertex to pin, and every graph holds it.  Kept on
+        the instance, so the saturation kernel reads it without a cache
+        lookup."""
+        return _compiled(self._graph)[2]
 
     @property
     def order(self) -> int:
@@ -179,6 +151,34 @@ def parse_pattern(text: str) -> PatternSpec:
     if text.startswith("G:"):
         return graph_pattern(decode_graph6(text[2:]))
     raise FormatError(f"cannot parse pattern {text!r}")
+
+
+@cache
+def _compiled(g: Graph):
+    """The orbit and arc representatives and the plans of a PatternSpec of
+    graph g, once per process: code, not answers, so search.clear_cache
+    keeps them.  Aut(g) moves two copies of g's n vertices in step, and
+    the vertex tuple (x0, x1) is the set {x0, n + x1}."""
+    n = g.n
+    gens = [tuple(p) + tuple(n + x for x in p)
+            for p in canonical_raw(n, g.adj)[2]]
+
+    def firsts(tuples) -> tuple:
+        out, covered = [], set()
+        for tup in tuples:
+            mask = sum(1 << i * n + x for i, x in enumerate(tup))
+            if mask not in covered:
+                out.append(tup)
+                covered |= orbit(mask, gens)
+        return tuple(out)
+
+    verts = tuple(v for v, in firsts((v,) for v in range(n)))
+    arcs = firsts((a, b) for a in range(n) for b in bits(g.adj[a]))
+    free = (embedding_plan(g),)
+    return verts, arcs, {
+        0: free,
+        1: tuple(embedding_plan(g, (v,)) for v in verts) or free,
+        2: tuple(embedding_plan(g, arc) for arc in arcs)}
 
 
 def embedding_plan(pattern: Graph, pinned: tuple[int, ...] = ()):

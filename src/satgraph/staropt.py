@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial, isqrt
 
 from .errors import DomainError
@@ -32,7 +33,7 @@ XBAR_INT_WINDOW = 1e-6
 class StarStarInstance:
     """Optimizer state for one (n, r, t): the per-m counts, the minimum,
     the minimizing m (smallest on ties), the tie flag, and the real root
-    (r >= 2 only)."""
+    (r >= 2 only), bisected on first read."""
 
     n: int
     r: int
@@ -41,7 +42,10 @@ class StarStarInstance:
     satnum: int
     m0: int
     tie: bool
-    xbar: float | None
+
+    @cached_property
+    def xbar(self) -> float | None:
+        return xbar(self.r, self.t) if self.r >= 2 else None
 
 
 def gen_binom(x, k: int):
@@ -150,9 +154,7 @@ def satnum_star_star(n: int, r: int, t: int) -> int:
         raise DomainError("need r >= 1")
     if r >= t:
         return 0
-    if n < 2 * t - 1:
-        raise DomainError(f"need n >= 2t-1 = {2 * t - 1}, got n={n}")
-    return min(_scan_values(n, r, t).values())
+    return star_star_instance(n, r, t).satnum
 
 
 def star_star_instance(n: int, r: int, t: int) -> StarStarInstance:
@@ -163,10 +165,10 @@ def star_star_instance(n: int, r: int, t: int) -> StarStarInstance:
         raise DomainError(f"need n >= 2t-1 = {2 * t - 1}, got n={n}")
     values = _scan_values(n, r, t)
     best = min(values.values())
-    winners = sorted(m for m, v in values.items() if v == best)
+    winners = [m for m, v in values.items() if v == best]  # m ascending
     return StarStarInstance(
         n=n, r=r, t=t, values=values, satnum=best, m0=winners[0],
-        tie=len(winners) > 1, xbar=xbar(r, t) if r >= 2 else None)
+        tie=len(winners) > 1)
 
 
 def r2_xbar(t: int) -> float:

@@ -1,6 +1,7 @@
 """CLI behavior: JSON output, exit codes, schema, certify."""
 
 import json
+import time
 
 import pytest
 
@@ -278,3 +279,33 @@ def test_workers_env_read_on_every_run(capsys, monkeypatch):
 def test_order_below_one_is_domain_error(capsys, argv):
     code, out, _ = invoke(capsys, *argv)
     assert code == 3 and payload(out)["error"]["code"] == "domain"
+
+
+@pytest.fixture
+def address_space_cap():
+    """Cap this process's address space 1 GB above its present size, so a
+    build that allocates before its capacity check fails with MemoryError
+    instead of taking gigabytes."""
+    resource = pytest.importorskip("resource")
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    try:
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        size = None
+    if size is not None and limits[0] == resource.RLIM_INFINITY:
+        resource.setrlimit(resource.RLIMIT_AS, (size + (1 << 30), limits[1]))
+    yield
+    resource.setrlimit(resource.RLIMIT_AS, limits)
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "near-regular", "--a", "2", "--b", "1000000000"],
+    ["construct", "split", "--n", "1000000000", "--t", "4"],
+])
+def test_huge_order_is_rejected_before_building(capsys, address_space_cap,
+                                                argv):
+    started = time.perf_counter()
+    code, out, _ = invoke(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 3 and payload(out)["error"]["code"] == "capacity"

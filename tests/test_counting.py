@@ -1,6 +1,7 @@
 """Counters against the naive injective-map oracle and frozen examples."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,7 +9,7 @@ from satgraph.counting import (count_cliques, count_cycles,
                                count_embeddings, count_independent_sets,
                                count_paths, count_stars, count_tree, embed,
                                find_clique, independence_number,
-                               tree_automorphisms)
+                               maximum_independent_sets, tree_automorphisms)
 from satgraph.errors import DomainError
 from satgraph.graph import (complete_graph, cycle_graph, empty_graph, join,
                             path_graph, star_graph)
@@ -121,6 +122,28 @@ def test_independence_numbers():
     assert independence_number(cycle_graph(5)) == 2
     for t in (3, 4, 6):
         assert independence_number(star_graph(t)) == t
+
+
+def _brute_maximum_independent_sets(g):
+    """The largest k with an independent k-subset, and those subsets in
+    the lexicographic order combinations yields them."""
+    for k in range(g.n, -1, -1):
+        found = [s for s in combinations(range(g.n), k)
+                 if not any(g.has_edge(u, v) for u, v in combinations(s, 2))]
+        if found:
+            return k, found
+
+
+def test_independent_set_walker_matches_brute_force(rng):
+    graphs = []
+    for n in range(11):
+        graphs += [empty_graph(n), complete_graph(n)]
+        graphs += [random_graph(rng, n, p) for p in (0.2, 0.5, 0.8)]
+    for g in graphs:
+        alpha, sets = _brute_maximum_independent_sets(g)
+        listed = maximum_independent_sets(g)
+        assert independence_number(g) == alpha, g
+        assert listed == sets == sorted(listed), g
 
 
 def test_independent_sets_split():

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
+from satgraph import patterns, search
 from satgraph.constructions import t_star
 from satgraph.counting import embed
-from satgraph.graph import (Graph, complete_graph, cycle_graph, path_graph,
-                            star_graph)
+from satgraph.graph import (Graph, complete_graph, cycle_graph, encode_graph6,
+                            path_graph, star_graph)
 from satgraph.patterns import (clique, cycle, graph_pattern, parse_pattern,
                                path, star, tree_pattern)
 
@@ -28,6 +29,29 @@ def test_to_graph_built_once_per_instance(p, graph):
     assert fresh == p and hash(fresh) == hash(p) and repr(fresh) == repr(p)
     clone = pickle.loads(pickle.dumps(p))
     assert clone == p and clone.to_graph() == graph
+
+
+def test_pattern_compiled_once_per_process(monkeypatch):
+    """Equal pattern graphs share one compile, and clearing the search's
+    memo leaves it alone."""
+    calls = []
+    real = patterns.canonical_raw
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(patterns, "canonical_raw", counted)
+    patterns._compiled.cache_clear()
+    text = "T:" + encode_graph6(t_star())
+    first = parse_pattern(text)
+    plans = first.plans
+    search.clear_cache()
+    second = parse_pattern(text)
+    assert second is not first and second.plans is plans
+    assert second.orbit_representatives == first.orbit_representatives
+    assert second.arc_representatives == first.arc_representatives
+    assert len(calls) == 1
 
 
 def test_orbit_representatives_find_every_anchored_copy():

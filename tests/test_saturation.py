@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from satgraph.canon import are_isomorphic
-from satgraph.counting import count_cliques, embed
+from satgraph.counting import count_cliques, embed, run_plan
 from satgraph.errors import DomainError
 from satgraph.graph import (complete_graph, cycle_graph, disjoint_union,
                             empty_graph, join)
@@ -234,6 +234,23 @@ def test_anchored_first_hit_respects_the_added_edge(rng):
                         assert len(set(hit)) == pat.n
                         assert all(gp.has_edge(hit[x], hit[y])
                                    for x, y in pat.edges())
+
+
+def test_star_witness_is_the_plan_witness(rng):
+    """contains_copy's star branch returns what the unpinned plan of the
+    star, the general path, returns."""
+    graphs = [cons.kr_graph(t, n, m) for t in range(3, 8)
+              for n in range(2 * t - 1, 2 * t + 4) for m in range(t)
+              if n - m >= t and (m or (t - 1) * (n - m) % 2 == 0)]
+    graphs += [cons.split_graph(n, t) for n in range(2, 11)
+               for t in range(2, n + 1)]
+    graphs += [random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+               for n in range(11) for _ in range(8)]
+    for g in graphs:
+        for r in range(1, 10):
+            f = star(r)
+            plan = run_plan(f.plans[0][0], g.adj, g.degrees(), (), True)
+            assert contains_copy(g, f) == plan, (g, r)
 
 
 def test_clique_witness_agrees_with_clique_count(rng):

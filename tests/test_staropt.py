@@ -163,6 +163,21 @@ def test_star_star_instance_bundle():
     assert inst.tie and inst.m0 == 6 and inst.values[6] == inst.values[7]
 
 
+def test_m0_and_satnum_skip_the_root(monkeypatch):
+    from satgraph import staropt
+
+    def no_root(r, t):
+        raise AssertionError("xbar bisected")
+
+    monkeypatch.setattr(staropt, "xbar", no_root)
+    assert staropt.m0(25, 3, 13) == (8, False)
+    assert staropt.satnum_star_star(25, 3, 13) == 4020
+    # the instance bisects only when its root is read
+    inst = staropt.star_star_instance(25, 3, 13)
+    with pytest.raises(AssertionError):
+        inst.xbar
+
+
 def test_satnum_matches_count_on_kr_graph():
     for t in range(3, 8):
         for n in range(2 * t - 1, 2 * t + 5):
