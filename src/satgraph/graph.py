@@ -231,12 +231,14 @@ def complete_graph(n: int) -> Graph:
 def path_graph(k: int) -> Graph:
     if k < 1:
         raise DomainError("path needs at least 1 vertex")
+    check_order(k)
     return Graph.from_edges(k, [(i, i + 1) for i in range(k - 1)])
 
 
 def cycle_graph(k: int) -> Graph:
     if k < 3:
         raise DomainError("cycle needs at least 3 vertices")
+    check_order(k)
     return Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
 
 
@@ -244,6 +246,7 @@ def star_graph(r: int) -> Graph:
     """Star with r edges: center 0 plus r leaves."""
     if r < 0:
         raise DomainError("star size must be nonnegative")
+    check_order(r + 1)
     return Graph.from_edges(r + 1, [(0, i) for i in range(1, r + 1)])
 
 

@@ -302,6 +302,9 @@ def address_space_cap():
 @pytest.mark.parametrize("argv", [
     ["construct", "near-regular", "--a", "2", "--b", "1000000000"],
     ["construct", "split", "--n", "1000000000", "--t", "4"],
+    ["check-sat", "--graph", "D~{", "--forbid", "P1000000000"],
+    ["check-sat", "--graph", "D~{", "--forbid", "C1000000000"],
+    ["bounds", "kt-threshold", "--pattern", "S1000000000"],
 ])
 def test_huge_order_is_rejected_before_building(capsys, address_space_cap,
                                                 argv):
