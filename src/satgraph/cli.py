@@ -145,10 +145,15 @@ _PLAIN = frozenset({bool, int, float, str, type(None)})
 
 
 def _jsonable(x):
-    # leaves by exact type first: isinstance against Fraction, an ABC
+    # dispatch on exact type first: isinstance against Fraction, an ABC
     # subclass, is slow, and adjacency lists are mostly int leaves
-    if type(x) in _PLAIN:
+    t = type(x)
+    if t in _PLAIN:
         return x
+    if t is list or t is tuple:
+        return [v if type(v) in _PLAIN else _jsonable(v) for v in x]
+    if t is dict:
+        return {str(k): v if type(v) in _PLAIN else _jsonable(v) for k, v in x.items()}
     if isinstance(x, Fraction):
         return {"numerator": x.numerator, "denominator": x.denominator,
                 "value": float(x)}

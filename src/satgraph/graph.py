@@ -7,11 +7,14 @@ instance, so instances can be shared freely between worker processes.
 
 The module also carries the graph6 text codec (bit-exact with the
 published layout: 6-bit groups over the column-major upper triangle,
-offset 63) and a small JSON adjacency form used for debugging.
+offset 63; the groups are base64 sextets in another alphabet, so the
+codec runs through ``base64``) and a small JSON adjacency form.
 """
 
 from __future__ import annotations
 
+import re
+from base64 import b64decode, b64encode
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -21,6 +24,11 @@ from .errors import DomainError, FormatError
 # All named constructions fit in one 64-bit block; larger orders are only
 # used by blow-up grids, capped here so encode/search costs stay sane.
 MAX_VERTICES = 512
+
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_FROM_G6 = bytes.maketrans(bytes(range(63, 127)), _B64)
+_BAD_BYTE = re.compile("[^?-~]")
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -140,7 +148,14 @@ class Graph:
         return sum(a.bit_count() for a in self.adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in bits(self.adj[u] >> (u + 1) << (u + 1))]
+        out = []
+        for u, row in enumerate(self.adj):
+            row = row >> u + 1 << u + 1
+            while row:
+                low = row & -row
+                out.append((u, low.bit_length() - 1))
+                row ^= low
+        return out
 
     def non_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v in combinations(range(self.n), 2) if not self.has_edge(u, v)]
@@ -331,21 +346,13 @@ def encode_graph6(g: Graph) -> str:
     else:
         raise DomainError("graph6 supports at most 258047 vertices here",
                           code="capacity")
-    out = []
-    group = 0
-    filled = 0
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            group = (group << 1) | (col >> i & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(group + 63))
-                group = 0
-                filled = 0
-    if filled:
-        out.append(chr((group << (6 - filled)) + 63))
-    return header + "".join(out)
+    # column j lists x(0,j)..x(j-1,j): row j's low j bits, lowest first
+    stream = "".join([format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1]
+                      for j in range(1, n)])
+    need = (len(stream) + 5) // 6
+    stream += "0" * (-len(stream) % 24)  # whole base64 quanta of three bytes
+    body = b64encode(int(stream or "0", 2).to_bytes(len(stream) // 8, "big"))
+    return header + body.translate(_TO_G6)[:need].decode("ascii")
 
 
 def decode_graph6(text: str) -> Graph:
@@ -354,17 +361,15 @@ def decode_graph6(text: str) -> Graph:
         text = text[len(">>graph6<<"):]
     if not text:
         raise FormatError("empty graph6 string", offset=0)
-    for i, ch in enumerate(text):
-        if not (63 <= ord(ch) <= 126):
-            raise FormatError(f"invalid graph6 byte {ch!r} at offset {i}", offset=i)
+    if bad := _BAD_BYTE.search(text):
+        i = bad.start()
+        raise FormatError(f"invalid graph6 byte {text[i]!r} at offset {i}", offset=i)
     if text[0] == "~":
         if len(text) >= 2 and text[1] == "~":
             raise FormatError("graph6 orders above 258047 unsupported", offset=0)
         if len(text) < 4:
             raise FormatError("truncated graph6 order header", offset=len(text))
-        n = 0
-        for ch in text[1:4]:
-            n = (n << 6) | (ord(ch) - 63)
+        n = (ord(text[1]) - 63 << 12) + (ord(text[2]) - 63 << 6) + ord(text[3]) - 63
         body, body_start = text[4:], 4
     else:
         n = ord(text[0]) - 63
@@ -378,33 +383,19 @@ def decode_graph6(text: str) -> Graph:
     if len(body) > need:
         raise FormatError(f"trailing graph6 bytes at offset {body_start + need}",
                           offset=body_start + need)
+    check_order(n)
+    # each body byte is one sextet; "A" pads to whole base64 quanta
+    raw = b64decode(body.encode("ascii").translate(_FROM_G6) + b"A" * (-need % 4))
+    s = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+    if "1" in s[nbits:]:
+        raise FormatError("nonzero padding bits in graph6 body",
+                          offset=body_start + nbits // 6)
     adj = [0] * n
-    idx = 0
-    for ch in body:
-        val = ord(ch) - 63
-        for s in range(5, -1, -1):
-            if idx >= nbits:
-                if (val >> s) & 1:
-                    raise FormatError("nonzero padding bits in graph6 body",
-                                      offset=body_start + idx // 6)
-                continue
-            if (val >> s) & 1:
-                j = _col_of(idx)
-                i = idx - j * (j - 1) // 2
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            idx += 1
+    for j in range(1, n):
+        col = adj[j] = int(s[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
+        for i in bits(col):
+            adj[i] |= 1 << j
     return Graph(n, adj)
-
-
-def _col_of(idx: int) -> int:
-    # Column j covers bit indices [j(j-1)/2, j(j+1)/2).
-    j = int(((8 * idx + 1) ** 0.5 - 1) / 2) + 1
-    while j * (j - 1) // 2 > idx:
-        j -= 1
-    while (j + 1) * j // 2 <= idx:
-        j += 1
-    return j
 
 
 # -- JSON adjacency (debug format) ------------------------------------------

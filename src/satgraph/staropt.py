@@ -27,6 +27,7 @@ from .errors import DomainError
 
 XBAR_TOL = 1e-9
 XBAR_INT_WINDOW = 1e-6
+TIE_TS_MAX = 7518  # t(7519) has 4,301 digits; int -> str stops at 4,300
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,9 @@ def tie_ts(i_max: int) -> list[int]:
     with a(i) = 4a(i-1) - a(i-2) + 1, a(0) = 0, a(1) = 2."""
     if i_max < 0:
         raise DomainError("need i_max >= 0")
+    if i_max > TIE_TS_MAX:
+        raise DomainError(f"need i_max <= {TIE_TS_MAX}, got {i_max}",
+                          code="capacity")
     a = [0, 2]
     while len(a) <= i_max:
         a.append(4 * a[-1] - a[-2] + 1)
