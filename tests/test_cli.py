@@ -2,10 +2,12 @@
 
 import json
 import time
+from collections import OrderedDict, namedtuple
+from fractions import Fraction
 
 import pytest
 
-from satgraph.cli import run
+from satgraph.cli import _jsonable, run
 from satgraph.graph import decode_graph6, encode_graph6
 from satgraph import constructions as cons
 
@@ -310,5 +312,57 @@ def test_huge_order_is_rejected_before_building(capsys, address_space_cap,
                                                 argv):
     started = time.perf_counter()
     code, out, _ = invoke(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 3 and payload(out)["error"]["code"] == "capacity"
+
+
+_Pair = namedtuple("_Pair", "u v")
+
+# Every kind of value a report holds: Fractions, int keys that sort as
+# strings ("1", "10", "2", like `scan tstar`'s per_n), tuples, bool, None,
+# floats, an adjacency list, and dict/tuple subclasses.
+_REPORT_SAMPLE = {
+    "ratio": Fraction(7, 3),
+    "per_n": {1: {"found": True}, 10: None, 2: [Fraction(-1, 2), 0.5]},
+    "pairs": ((0, 1), (2, 3)),
+    "flags": [True, False, None],
+    "floats": (0.1, 1e-07, -0.0, 2.0),
+    "adjacency": {"n": 3, "edges": [[0, 1], [1, 2]]},
+    "nested": [[Fraction(1, 2), {"x": (Fraction(-3, 4), "s")}], [], {}],
+    "subclasses": OrderedDict([(3, _Pair(4, Fraction(5)))]),
+}
+
+# the bytes the isinstance-only serializer gave for _REPORT_SAMPLE
+_REPORT_GOLDEN = (
+    '{"adjacency": {"edges": [[0, 1], [1, 2]], "n": 3}, '
+    '"flags": [true, false, null], "floats": [0.1, 1e-07, -0.0, 2.0], '
+    '"nested": [[{"denominator": 2, "numerator": 1, "value": 0.5}, '
+    '{"x": [{"denominator": 4, "numerator": -3, "value": -0.75}, "s"]}], '
+    '[], {}], "pairs": [[0, 1], [2, 3]], '
+    '"per_n": {"1": {"found": true}, "10": null, '
+    '"2": [{"denominator": 2, "numerator": -1, "value": -0.5}, 0.5]}, '
+    '"ratio": {"denominator": 3, "numerator": 7, '
+    '"value": 2.3333333333333335}, '
+    '"subclasses": {"3": [4, {"denominator": 1, "numerator": 5, '
+    '"value": 5.0}]}}')
+
+
+def test_report_serializer_golden_bytes():
+    assert json.dumps(_jsonable(_REPORT_SAMPLE), sort_keys=True) == \
+        _REPORT_GOLDEN
+
+
+def test_tie_ts_within_digit_limit(capsys):
+    code, out, _ = invoke(capsys, "tie-ts", "--max", "7518")
+    assert code == 0
+    ts = payload(out)["result"]["ts"]
+    assert len(ts) == 7519 and len(str(ts[-1])) == 4300
+
+
+@pytest.mark.parametrize("i_max", ["7519", "1000000"])
+def test_tie_ts_past_digit_limit_is_capacity_error(capsys, address_space_cap,
+                                                  i_max):
+    started = time.perf_counter()
+    code, out, _ = invoke(capsys, "tie-ts", "--max", i_max)
     assert time.perf_counter() - started < 1.0
     assert code == 3 and payload(out)["error"]["code"] == "capacity"
