@@ -145,22 +145,17 @@ _PLAIN = frozenset({bool, int, float, str, type(None)})
 
 
 def _jsonable(x):
-    # dispatch on exact type first: isinstance against Fraction, an ABC
+    # containers before Fraction: isinstance against Fraction, an ABC
     # subclass, is slow, and adjacency lists are mostly int leaves
-    t = type(x)
-    if t in _PLAIN:
+    if type(x) in _PLAIN:
         return x
-    if t is list or t is tuple:
-        return [v if type(v) in _PLAIN else _jsonable(v) for v in x]
-    if t is dict:
+    if isinstance(x, dict):
         return {str(k): v if type(v) in _PLAIN else _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [v if type(v) in _PLAIN else _jsonable(v) for v in x]
     if isinstance(x, Fraction):
         return {"numerator": x.numerator, "denominator": x.denominator,
                 "value": float(x)}
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
     return x
 
 
@@ -172,7 +167,11 @@ def _emit(command: str, parameters: dict, result, started: float) -> None:
         "wall_time_s": round(time.perf_counter() - started, 6),
         "version": __version__,
     }
-    print(json.dumps(report, sort_keys=True))
+    try:
+        text = json.dumps(report, sort_keys=True)
+    except ValueError as exc:  # an int past sys.get_int_max_str_digits()
+        raise DomainError(f"report not serializable: {exc}", code="capacity")
+    print(text)
 
 
 @functools.cache

@@ -148,14 +148,7 @@ class Graph:
         return sum(a.bit_count() for a in self.adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u, row in enumerate(self.adj):
-            row = row >> u + 1 << u + 1
-            while row:
-                low = row & -row
-                out.append((u, low.bit_length() - 1))
-                row ^= low
-        return out
+        return [(u, v) for u in range(self.n) for v in bits(self.adj[u] >> (u + 1) << (u + 1))]
 
     def non_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v in combinations(range(self.n), 2) if not self.has_edge(u, v)]
@@ -383,13 +376,14 @@ def decode_graph6(text: str) -> Graph:
     if len(body) > need:
         raise FormatError(f"trailing graph6 bytes at offset {body_start + need}",
                           offset=body_start + need)
+    # every padding bit sits in the low bits of the last body byte
+    if nbits % 6 and (ord(body[-1]) - 63) & ((1 << -nbits % 6) - 1):
+        raise FormatError("nonzero padding bits in graph6 body",
+                          offset=body_start + nbits // 6)
     check_order(n)
     # each body byte is one sextet; "A" pads to whole base64 quanta
     raw = b64decode(body.encode("ascii").translate(_FROM_G6) + b"A" * (-need % 4))
     s = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
-    if "1" in s[nbits:]:
-        raise FormatError("nonzero padding bits in graph6 body",
-                          offset=body_start + nbits // 6)
     adj = [0] * n
     for j in range(1, n):
         col = adj[j] = int(s[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)

@@ -27,7 +27,9 @@ from .errors import DomainError
 
 XBAR_TOL = 1e-9
 XBAR_INT_WINDOW = 1e-6
-TIE_TS_MAX = 7518  # t(7519) has 4,301 digits; int -> str stops at 4,300
+# t(i) has about 0.57 i digits and tie_ts keeps every term: the cap bounds
+# memory at the last i whose term fits CPython's default 4,300-digit int -> str
+TIE_TS_MAX = 7518
 
 
 @dataclass(frozen=True)

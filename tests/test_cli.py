@@ -1,6 +1,7 @@
 """CLI behavior: JSON output, exit codes, schema, certify."""
 
 import json
+import sys
 import time
 from collections import OrderedDict, namedtuple
 from fractions import Fraction
@@ -366,3 +367,16 @@ def test_tie_ts_past_digit_limit_is_capacity_error(capsys, address_space_cap,
     code, out, _ = invoke(capsys, "tie-ts", "--max", i_max)
     assert time.perf_counter() - started < 1.0
     assert code == 3 and payload(out)["error"]["code"] == "capacity"
+
+
+def test_tie_ts_past_a_lowered_digit_limit_is_capacity_error(capsys):
+    # t(1200) has 687 digits, past the least limit Python accepts
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, _ = invoke(capsys, "tie-ts", "--max", "1200")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 3 and payload(out)["error"]["code"] == "capacity"
+    code, out, _ = invoke(capsys, "tie-ts", "--max", "1200")
+    assert code == 0 and len(str(payload(out)["result"]["ts"][-1])) == 687

@@ -174,13 +174,16 @@ def test_prefixed_string_decodes_like_reference():
         _outcome(_decode_reference, ">>graph6<<D??") == ("graph", (0,) * 5)
 
 
-def test_order_is_checked_before_the_body_is_expanded():
+def test_order_is_checked_after_padding_and_before_the_body_is_expanded():
     # "~?GA" is order 514, which leaves 3 padding bits; the per-bit
-    # decoder met the set one before the graph's order was checked
-    text = "~?GA" + "?" * ((514 * 513 // 2 + 5) // 6 - 1) + "@"
-    assert _outcome(_decode_reference, text)[1] == \
-        "nonzero padding bits in graph6 body"
+    # decoder met a set one before the graph's order was checked
+    body = "?" * ((514 * 513 // 2 + 5) // 6 - 1)
+    padded = "~?GA" + body + "@"
+    assert _outcome(decode_graph6, padded) == \
+        _outcome(_decode_reference, padded) == \
+        (FormatError, "nonzero padding bits in graph6 body", 4 + len(body),
+         "format")
     with pytest.raises(DomainError) as exc:
-        decode_graph6(text)
+        decode_graph6("~?GA" + body + "?")
     assert exc.value.code == "capacity"
     assert str(exc.value) == "order 514 outside supported range 0..512"
