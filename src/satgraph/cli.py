@@ -28,29 +28,45 @@ from .counting import count_pattern
 
 SCHEMA = {
     "schema_version": 1,
+    "optional": "a type that starts with 'optional' marks a key that only "
+                "some reports hold",
     "report": {
         "command": "string", "parameters": "object", "result": "object",
         "wall_time_s": "number (excluded from byte-stability guarantees)",
         "version": "string",
     },
+    "error_report": {"error": {"code": "string", "message": "string"}},
     "results": {
         "construct": {"graph6": "string", "n": "int", "edges": "int",
-                      "degree_sequence": "[int]", "properties": "object"},
+                      "adjacency": {"n": "int", "edges": "[[int, int]]"},
+                      "properties": {
+                          "degree_sequence": "[int]",
+                          "parts": "optional [[int]]: families built from "
+                                   "parts",
+                          "target": "optional string: families with a "
+                                    "target pattern",
+                          "saturated": "optional bool: with target"}},
         "count": {"count": "int"},
         "check-sat": {"graph": "graph6", "pattern": "string|[string]",
                       "free": "bool", "saturated": "bool",
                       "witness": "object|null", "checked_nonedges": "int"},
-        "satnum star-star / m0": {"satnum": "int", "m0": "int", "tie": "bool",
-                                  "xbar": "number|null"},
+        "satnum star-star / m0": {"satnum": "int", "m0": "int|null",
+                                  "tie": "bool|null", "xbar": "number|null",
+                                  "note": "optional string: when r >= t"},
         "satnum exact": {"n": "int", "forbid": "string", "count": "string",
                          "minimum": "int", "witnesses": "[graph6]",
                          "witness_total": "int", "graphs_examined": "int",
                          "saturated_found": "int", "workers": "int"},
         "bounds": {"name": "string", "parameters": "object",
-                   "value": "number|object", "satisfied": "bool|null"},
+                   "value": "number|object|null", "satisfied": "bool|null",
+                   "note": "optional string: when the split graph is "
+                           "path-free"},
         "tie-ts": {"ts": "[int]"},
-        "scan tstar": {"n_max": "int", "per_n": "object", "any_found": "bool"},
+        "scan tstar": {"n_max": "int", "pattern": "string",
+                       "per_n": "object", "any_found": "bool"},
         "certify": {"entries": "[object]", "mismatches": "[object]"},
+        "certify --out": {"out": "string", "entries": "int",
+                          "mismatches": "int"},
     },
     "exit_codes": {"0": "ok", "2": "usage", "3": "domain error",
                    "4": "certification mismatch"},

@@ -72,6 +72,15 @@ label-invariant: degree caps and monotone forbidden subgraphs qualify
 (an induced subgraph of a Delta-capped / F-free graph is again such).
 Saturation itself is not hereditary and is only tested at full order.
 
+_grow_level decides each parent's children from the parent alone and
+appends them in parent order.  So with several workers, a level of at
+least CHUNKS parents per worker is cut into at most CHUNKS contiguous
+chunks per worker, grown in a process pool and joined in chunk order:
+exactly the level one process builds (the final level is then sorted by
+adjacency).  Class lists, codes and reports are the same for any worker
+count.  Narrower levels stay in-process, where a pool costs more than it
+saves.
+
 Search-level existence questions ignore the vacuously saturated
 complete graphs on fewer vertices than the pattern: when n is below the
 pattern order, saturation would only be witnessed by K_n (no missing
@@ -80,8 +89,11 @@ edge to check), which carries no structural content.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 
 from .canon import (automorphisms_from, canonical_raw, equitable_partition,
                     orbit)
@@ -94,6 +106,7 @@ from .saturation import (contains_copy, copy_through, creates_copy,  # noqa: F40
                          first_uncreated)
 
 HARD_CAP = 10
+CHUNKS = 8  # per worker: a level this wide is split, into this many chunks
 
 
 @dataclass(frozen=True)
@@ -374,8 +387,9 @@ def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints
     """One representative per isomorphism class of n-vertex graphs
     satisfying the constraints, as (adj, code) pairs sorted by adj; code
     is the canonical code where acceptance computed one and None
-    elsewhere.  With several workers, the levels past the first wide enough
-    to split are grown in a process pool; the result is the same."""
+    elsewhere.  With several workers (at most the CPUs this process may
+    use), wide levels are grown in a process pool, as the module
+    docstring says; the result is the same."""
     if n < 1:
         raise DomainError("enumeration needs n >= 1")
     if n > HARD_CAP:
@@ -385,27 +399,26 @@ def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints
     # the induction starts from K_1, unless it holds a forbidden pattern
     violates = clique == 1 or _child_violates((0,), 0, forb)
     level = [] if violates else _base_level(n == 1)
-    k = 1
-    while k < n and (workers <= 1 or len(level) < 2 * workers):
-        level = _grow_level(level, k, cap, clique, forb, k + 1 == n)
-        k += 1
-    if k < n:
-        args = [(level[i::workers], k, n, cap, clique, forb)
-                for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_worker_expand, args))
-        level = sorted((item for part in parts for item in part),
-                       key=lambda item: item[0])
+    workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(
+        os, "sched_getaffinity") else os.cpu_count() or 1)
+    with ExitStack() as stack:
+        pool = None
+        for k in range(1, n):
+            final = k + 1 == n
+            if workers == 1 or len(level) < CHUNKS * workers:
+                level = _grow_level(level, k, cap, clique, forb, final)
+                continue
+            pool = pool or stack.enter_context(ProcessPoolExecutor(workers))
+            step = -(-len(level) // (CHUNKS * workers))
+            parts = pool.map(_grow_level, [level[i:i + step] for i in range(
+                0, len(level), step)], repeat(k), repeat(cap), repeat(clique),
+                repeat(forb), repeat(final))
+            level = [item for part in parts for item in part]
+            if final:
+                level.sort(key=lambda item: item[0])
     if constraints.connected_only:
         level = [(adj, code) for adj, code in level
                  if is_connected(Graph(n, adj))]
-    return level
-
-
-def _worker_expand(args):
-    level, k_from, n, cap, clique, forb = args
-    for k in range(k_from, n):
-        level = _grow_level(level, k, cap, clique, forb, k + 1 == n)
     return level
 
 
@@ -479,33 +492,14 @@ def satnum_exact(n: int, forbid: PatternSpec, count: PatternSpec,
         raise NoneExistError(
             f"no {forbid}-saturated graph on {n} vertices under the given "
             f"constraints: none exist")
-    best = None
-    winners = []
-    for g in sat:
-        value = count_pattern(g, count)
-        if best is None or value < best:
-            best = value
-            winners = [g]
-        elif value == best:
-            winners.append(g)
-    names = sorted(encode_graph6(g) for g in winners)
+    values = [count_pattern(g, count) for g in sat]
+    best = min(values)
+    names = sorted(encode_graph6(g) for g, value in zip(sat, values)
+                   if value == best)
     return SearchReport(
         n=n, forbid=str(forbid), count=str(count), minimum=best,
         witnesses=names[:WITNESS_CAP], witness_total=len(names),
         graphs_examined=examined, saturated_found=len(sat), workers=workers)
-
-
-def _has_property(g: Graph, prop: tuple) -> bool:
-    kind = prop[0]
-    if kind == "k-free":
-        return contains_copy(g, PatternSpec("clique", prop[1])) is None
-    if kind == "max-clique":
-        return contains_copy(g, PatternSpec("clique", prop[1] + 1)) is None
-    if kind == "bipartite":
-        return _colorable(g, 2)
-    if kind == "r-partite":
-        return _colorable(g, prop[1])
-    raise DomainError(f"unknown property {prop!r}")
 
 
 def _colorable(g: Graph, r: int) -> bool:
@@ -535,19 +529,28 @@ def exists_saturated_with(n: int, forbid: PatternSpec, prop: tuple,
                           workers: int = 1):
     """A forbid-saturated n-vertex graph with the extra property, or None.
 
+    prop is ("k-free", r), no K_r; ("max-clique", r), no K_{r+1}, both
+    forbidden during generation; ("bipartite",) or ("r-partite", r).
     Returns the witness with the smallest canonical code, so reports do
     not depend on worker count."""
+    kind = prop[0] if prop else None
+    arity = {"k-free": 2, "max-clique": 2, "bipartite": 1, "r-partite": 2}
+    if len(prop) != arity.get(kind) or not all(
+            isinstance(x, int) for x in prop[1:]):
+        raise DomainError(f"property must be ('k-free', r), ('max-clique', "
+                          f"r), ('bipartite',) or ('r-partite', r), not "
+                          f"{prop!r}")
     gen = constraints
-    if prop[0] == "k-free":
-        gen = gen.with_forbidden(PatternSpec("clique", prop[1]))
+    if kind in ("k-free", "max-clique"):
+        gen = gen.with_forbidden(
+            PatternSpec("clique", prop[1] + (kind == "max-clique")))
     try:
         sat, _ = saturated_classes(n, forbid, gen, True, workers)
     except NoneExistError:
         return None
-    for g in sat:  # code-sorted
-        if _has_property(g, prop):
-            return g
-    return None
+    colors = {"bipartite": 2, "r-partite": prop[-1]}.get(kind)
+    return next((g for g in sat  # code-sorted
+                 if colors is None or _colorable(g, colors)), None)
 
 
 def tstar_scan(n_max: int, workers: int = 1) -> dict:
@@ -564,16 +567,13 @@ def tstar_scan(n_max: int, workers: int = 1) -> dict:
     if n_max < 1:
         raise DomainError(f"n_max={n_max}: the scan needs n_max >= 1")
     spider = tree_pattern(t_star())
+    cons = SearchConstraints(forbidden=(clique(3),))
     per_n = {}
     for n in range(1, n_max + 1):
-        if n < spider.order:
-            per_n[n] = {"found": 0, "witnesses": [],
-                        "vacuous_complete": n <= 2}
-            continue
-        cons = SearchConstraints(forbidden=(clique(3),))
-        sat, _ = saturated_classes(n, spider, cons, True, workers)
+        sat = [] if n < spider.order else saturated_classes(
+            n, spider, cons, True, workers)[0]
         per_n[n] = {"found": len(sat),
                     "witnesses": [encode_graph6(g) for g in sat[:WITNESS_CAP]],
-                    "vacuous_complete": False}
+                    "vacuous_complete": n <= 2}
     return {"n_max": n_max, "pattern": str(spider), "per_n": per_n,
             "any_found": any(d["found"] for d in per_n.values())}

@@ -380,3 +380,58 @@ def test_tie_ts_past_a_lowered_digit_limit_is_capacity_error(capsys):
     assert code == 3 and payload(out)["error"]["code"] == "capacity"
     code, out, _ = invoke(capsys, "tie-ts", "--max", "1200")
     assert code == 0 and len(str(payload(out)["result"]["ts"][-1])) == 687
+
+
+def _keys_match_schema(result: dict, schema: dict, where: str) -> None:
+    """result holds every key schema requires, and no key schema lacks;
+    a key whose type starts with "optional" may be missing."""
+    required = {k for k, v in schema.items()
+                if not (isinstance(v, str) and v.startswith("optional"))}
+    assert required <= result.keys() <= schema.keys(), where
+    for key, sub in schema.items():
+        if isinstance(sub, dict) and key in result:
+            _keys_match_schema(result[key], sub, f"{where}.{key}")
+
+
+def test_schema_names_every_result_key(capsys, tmp_path):
+    code, out, _ = invoke(capsys, "--schema")
+    schema = json.loads(out)
+    assert code == 0 and schema["schema_version"] == 1
+    grid = tmp_path / "grid.txt"
+    grid.write_text("5 K3 S1\n6 S3 S2\n")
+    queries = {
+        "construct": [["construct", "partite", "--n", "9", "--r", "4",
+                       "--t", "5", "--c", "1"],
+                      ["construct", "near-regular", "--a", "3", "--b", "4"]],
+        "count": [["count", "--graph", "E}r?", "--pattern", "P4"]],
+        "check-sat": [["check-sat", "--graph", "EznW", "--forbid", "S5"]],
+        "satnum star-star / m0": [
+            ["satnum", "star-star", "--n", "9", "--r", "2", "--t", "5"],
+            ["m0", "--n", "9", "--r", "5", "--t", "3"]],
+        "satnum exact": [["satnum", "exact", "--n", "5", "--forbid", "K3",
+                          "--count", "S1"]],
+        "bounds": [["bounds", "ehm", "--n", "9", "--t", "4"],
+                   ["bounds", "split-path-leading", "--n", "6", "--t", "4",
+                    "--r", "7"]],
+        "tie-ts": [["tie-ts", "--max", "4"]],
+        "scan tstar": [["scan", "tstar", "--max-n", "7"]],
+        "certify": [["certify", "--grid", str(grid)]],
+        "certify --out": [["certify", "--grid", str(grid), "--out",
+                           str(tmp_path / "archive.json")]],
+    }
+    assert queries.keys() == schema["results"].keys()
+    notes = 0
+    for name, runs in queries.items():
+        for argv in runs:
+            code, out, _ = invoke(capsys, *argv)
+            report = payload(out)
+            assert code == 0, argv
+            _keys_match_schema(report, schema["report"], name)
+            _keys_match_schema(report["result"], schema["results"][name],
+                               name)
+            notes += "note" in report["result"]
+    assert notes == 2  # the optional notes of m0 and bounds were checked
+    code, out, _ = invoke(capsys, "satnum", "exact", "--n", "11",
+                          "--forbid", "K3", "--count", "S1")
+    assert code == 3
+    _keys_match_schema(payload(out), schema["error_report"], "error")

@@ -479,3 +479,37 @@ def test_patterns_on_at_most_one_vertex_have_no_saturated_graph(text):
         with pytest.raises(NoneExistError):
             satnum_exact(n, f, star(1))
     clear_cache()
+
+
+@pytest.mark.parametrize("prop", [("nope",), ("r-partite",), ("k-free",),
+                                  ("max-clique",), ("bipartite", 2), (),
+                                  ("k-free", "3")])
+def test_exists_saturated_with_rejects_bad_property_before_search(
+        monkeypatch, prop):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("enumerated before the property was checked")
+
+    monkeypatch.setattr(search, "enumerate_classes", enumerate_nothing)
+    clear_cache()
+    for n, f in ((4, star(5)), (8, star(5))):  # none saturated, and some
+        with pytest.raises(DomainError, match="property"):
+            exists_saturated_with(n, f, prop)
+
+
+def test_exists_saturated_with_max_clique_prunes_generation(monkeypatch):
+    seen = []
+    enumerate_all = search.enumerate_classes
+
+    def spy(n, constraints, workers=1):
+        seen.append(constraints.forbidden)
+        return enumerate_all(n, constraints, workers)
+
+    monkeypatch.setattr(search, "enumerate_classes", spy)
+    clear_cache()
+    w = exists_saturated_with(8, star(5), ("max-clique", 2))
+    clear_cache()
+    assert seen == [(clique(3), star(5))]
+    assert canonical_form(w) == canonical_form(
+        exists_saturated_with(8, star(5), ("k-free", 3)))
+    assert contains_copy(w, clique(3)) is None
+    clear_cache()
