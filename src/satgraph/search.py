@@ -410,9 +410,9 @@ def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints
                 continue
             pool = pool or stack.enter_context(ProcessPoolExecutor(workers))
             step = -(-len(level) // (CHUNKS * workers))
-            parts = pool.map(_grow_level, [level[i:i + step] for i in range(
-                0, len(level), step)], repeat(k), repeat(cap), repeat(clique),
-                repeat(forb), repeat(final))
+            chunks = [level[i:i + step] for i in range(0, len(level), step)]
+            parts = pool.map(_grow_level, chunks, repeat(k), repeat(cap),
+                             repeat(clique), repeat(forb), repeat(final))
             level = [item for part in parts for item in part]
             if final:
                 level.sort(key=lambda item: item[0])
@@ -542,8 +542,8 @@ def exists_saturated_with(n: int, forbid: PatternSpec, prop: tuple,
                           f"{prop!r}")
     gen = constraints
     if kind in ("k-free", "max-clique"):
-        gen = gen.with_forbidden(
-            PatternSpec("clique", prop[1] + (kind == "max-clique")))
+        gen = gen.with_forbidden(PatternSpec(
+            "clique", prop[1] + 1 if kind == "max-clique" else prop[1]))
     try:
         sat, _ = saturated_classes(n, forbid, gen, True, workers)
     except NoneExistError:
