@@ -13,6 +13,13 @@ equitable, so no parent cell splits anything, nor does the rest of v's
 cell once {v} has split every cell by adjacency to v.  Refinement stops
 as soon as the partition is discrete, since no splitter can split it.
 
+Cells are vertex masks, read in ascending vertex order: a cell's first
+vertex is its lowest bit, and its vertices are tried from the lowest.
+Cell lists would hold that order too, as the degree cells are built in
+vertex order, splits keep it and {v} goes in front of the rest of its
+cell.  A splitter {w} splits a cell into its parts off and on N(w) with
+two mask operations.
+
 Refinement and individualization only ever replace a cell by its parts,
 in place, so no vertex leaves its cell of the initial partition
 (equitable_partition): every leaf, the canonical one included, puts the
@@ -61,79 +68,80 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from .graph import Graph
+from .graph import Graph, bits
 
 AdjRows = Sequence[int]
 
 
-def _refine(adj: AdjRows, cells: list[list[int]],
-            queue: Iterable[int]) -> list[list[int]]:
+def _refine(adj: AdjRows, cells: list[int], queue: Iterable[int]) -> list[int]:
     """Equitable refinement (1-dim WL with cell splitting).
 
-    ``cells`` partitions the vertices of ``adj``.  ``queue`` holds the
-    splitter masks that may split a cell; every new cell is enqueued too,
-    so the fixpoint is equitable.  Refinement stops once the partition is
-    discrete, as no splitter left in the queue could split it.  Entries of
-    ``cells`` are replaced, never changed in place, so callers may share
-    cell lists.  Split parts are ordered by increasing neighbor count.
+    ``cells``, vertex masks, partitions the vertices of ``adj``.
+    ``queue`` holds the splitter masks that may split a cell; every new
+    cell is enqueued too, so the fixpoint is equitable.  Refinement stops
+    once the partition is discrete, as no splitter left in the queue could
+    split it.  Split parts are ordered by increasing neighbor count.
     """
     n, m = len(adj), len(cells)
     queue = deque(queue)
     while queue and m < n:
         smask = queue.popleft()
+        row = adj[smask.bit_length() - 1] if smask & (smask - 1) == 0 else -1
         i = 0
         while i < m:
             cell = cells[i]
             i += 1
-            if len(cell) == 1:
+            if cell & (cell - 1) == 0:
                 continue
-            c = (adj[cell[0]] & smask).bit_count()
-            for v in cell:
-                if (adj[v] & smask).bit_count() != c:
-                    break
-            else:  # smask does not split the cell
-                continue
-            groups: dict[int, list[int]] = {}
-            for v in cell:
-                groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-            parts = [groups[c] for c in sorted(groups)]
+            if row >= 0:
+                hit = cell & row
+                if not hit or hit == cell:
+                    continue
+                parts = [cell ^ hit, hit]
+            else:
+                groups: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    c = (adj[low.bit_length() - 1] & smask).bit_count()
+                    groups[c] = groups.get(c, 0) | low
+                    rest ^= low
+                if len(groups) == 1:
+                    continue
+                parts = [groups[c] for c in sorted(groups)]
             cells[i - 1:i] = parts
-            for part in parts:
-                mask = 0
-                for v in part:
-                    mask |= 1 << v
-                queue.append(mask)
+            queue += parts
             i += len(parts) - 1
             m += len(parts) - 1
     return cells
 
 
-def _individualize(adj: AdjRows, cells: list[list[int]], i: int,
-                   v: int) -> list[list[int]]:
+def _individualize(adj: AdjRows, cells: list[int], i: int,
+                   v: int) -> list[int]:
     """The equitable partition ``cells`` with v split off its cell i, a
     non-singleton, in front of the rest, and refined from {v} alone."""
-    rest = [u for u in cells[i] if u != v]
-    return _refine(adj, cells[:i] + [[v], rest] + cells[i + 1:], [1 << v])
+    return _refine(adj, cells[:i] + [1 << v, cells[i] ^ 1 << v]
+                   + cells[i + 1:], [1 << v])
 
 
-def automorphisms_from(adj: AdjRows, cells: list[list[int]], a: int):
+def automorphisms_from(adj: AdjRows, cells: list[int], a: int):
     """The function ``b -> automorphism_sending(adj, cells, a, b)``, which
     computes a's side of the path once for every b."""
-    i = next(i for i, cell in enumerate(cells) if a in cell)
+    i = next(i for i, cell in enumerate(cells) if cell >> a & 1)
 
-    def leaf(v: int) -> list[list[int]]:
+    def leaf(v: int) -> list[int]:
         part = _individualize(adj, cells, i, v)
         while len(part) < len(adj):
-            j = next(j for j, cell in enumerate(part) if len(cell) > 1)
-            part = _individualize(adj, part, j, part[j][0])
+            j, c = next((j, c) for j, c in enumerate(part) if c & (c - 1))
+            part = _individualize(adj, part, j, (c & -c).bit_length() - 1)
         return part
 
     left = leaf(a)
 
     def sending(b: int) -> tuple[int, ...] | None:
         sigma = [0] * len(adj)
-        for (u,), (v,) in zip(left, leaf(b)):
-            sigma[u] = v
+        for u, v in zip(left, leaf(b)):
+            sigma[u.bit_length() - 1] = v.bit_length() - 1
         for u, row in enumerate(adj):
             image = 0
             while row:
@@ -147,7 +155,7 @@ def automorphisms_from(adj: AdjRows, cells: list[list[int]], a: int):
     return sending
 
 
-def automorphism_sending(adj: AdjRows, cells: list[list[int]], a: int,
+def automorphism_sending(adj: AdjRows, cells: list[int], a: int,
                          b: int) -> tuple[int, ...] | None:
     """An automorphism of the graph that sends a to b, or None where this
     one-path search finds none.
@@ -163,14 +171,15 @@ def automorphism_sending(adj: AdjRows, cells: list[list[int]], a: int,
     return automorphisms_from(adj, cells, a)(b)
 
 
-def equitable_partition(n: int, adj: AdjRows) -> list[list[int]]:
+def equitable_partition(n: int, adj: AdjRows) -> list[int]:
     """The coarsest equitable ordered partition refining the degree cells,
-    ordered as ``canonical_raw`` orders its initial cells."""
-    groups: dict[int, list[int]] = {}
+    ordered as ``canonical_raw`` orders its initial cells, as masks."""
+    groups: dict[int, int] = {}
     for v in range(n):
-        groups.setdefault(adj[v].bit_count(), []).append(v)
+        d = adj[v].bit_count()
+        groups[d] = groups.get(d, 0) | 1 << v
     cells = [groups[d] for d in sorted(groups)]
-    return _refine(adj, cells, [sum(1 << v for v in c) for c in cells])
+    return _refine(adj, cells, cells)
 
 
 class _Canonizer:
@@ -185,7 +194,7 @@ class _Canonizer:
         # node writes only the entries of its own new singletons
         self._pos = [0] * n
 
-    def run(self, cells: list[list[int]] | None):
+    def run(self, cells: list[int] | None):
         n = self.n
         if n == 0:
             return b"\x00\x00", (), []
@@ -196,14 +205,14 @@ class _Canonizer:
 
     # -- internals ---------------------------------------------------------
 
-    def _search(self, cells: list[list[int]], path: list[int],
-                cols: list[int], placed: int):
+    def _search(self, cells: list[int], path: list[int], cols: list[int],
+                placed: int):
         """Extend the parent's prefix ``cols`` (its singletons ``placed``)."""
         adj, pos = self.adj, self._pos
         cols = cols[:]
         k = len(cols)
-        while k < len(cells) and len(cells[k]) == 1:
-            v = cells[k][0]
+        while k < len(cells) and cells[k] & (cells[k] - 1) == 0:
+            v = cells[k].bit_length() - 1
             col = 0
             nb = adj[v] & placed
             while nb:
@@ -220,7 +229,7 @@ class _Canonizer:
             return
 
         if k == len(cells):
-            lab = [cell[0] for cell in cells]
+            lab = [cell.bit_length() - 1 for cell in cells]
             if best is None or cols < best:
                 self.best_cols, self.best_lab = cols, lab
             elif cols == best and lab != self.best_lab:
@@ -232,38 +241,24 @@ class _Canonizer:
                     self.auts.append(sig)
             return
 
-        target = cells[k]
-        tried: list[int] = []
-        # orbit closure (union-find) over automorphisms fixing the path;
-        # generators discovered inside child subtrees are absorbed lazily
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        absorbed = 0
-        for v in target:
-            while absorbed < len(self.auts):
-                sigma = self.auts[absorbed]
-                absorbed += 1
-                if all(sigma[p] == p for p in path):
-                    for u in range(self.n):
-                        ra, rb = find(u), find(sigma[u])
-                        if ra != rb:
-                            parent[ra] = rb
-            rv = find(v)
-            if any(find(u) == rv for u in tried):
+        # seen: the orbits of the vertices tried under the automorphisms
+        # fixing the path; ones found inside child subtrees join lazily
+        gens: list[tuple[int, ...]] = []
+        seen = absorbed = 0
+        for v in bits(cells[k]):
+            if absorbed < len(self.auts):
+                gens += [s for s in self.auts[absorbed:]
+                         if all(s[p] == p for p in path)]
+                absorbed = len(self.auts)
+                seen = _close(seen, seen, gens)
+            if seen >> v & 1:
                 continue
-            tried.append(v)
+            seen = _close(seen | 1 << v, 1 << v, gens)
             self._search(_individualize(adj, cells, k, v), path + [v], cols,
                          placed)
 
 
-def canonical_raw(n: int, adj: AdjRows, *,
-                  cells: list[list[int]] | None = None):
+def canonical_raw(n: int, adj: AdjRows, *, cells: list[int] | None = None):
     """Canonical data for raw bitmask rows (hot path for the enumerator).
 
     Returns (code, labeling, automorphism generators) where
@@ -272,6 +267,20 @@ def canonical_raw(n: int, adj: AdjRows, *,
     caller that already has it saves computing it again.  It is only read.
     """
     return _Canonizer(n, adj).run(cells)
+
+
+def _close(mask: int, todo: int, gens) -> int:
+    """The union of the orbits under gens of mask's vertices, where those
+    outside todo are closed under gens already."""
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        for g in gens:
+            image = 1 << g[low.bit_length() - 1]
+            if not mask & image:
+                mask |= image
+                todo |= image
+    return mask
 
 
 def orbit(mask: int, gens) -> set[int]:

@@ -383,9 +383,10 @@ def run(argv) -> int:
                                 "forbid": [str(p) for p in pats]},
                   cert.to_json(), started)
         elif args.command == "m0" or getattr(args, "mode", None) == "star-star":
-            if args.r >= args.t:
-                result = {"satnum": 0, "m0": None, "tie": None, "xbar": None,
-                          "note": "trivially zero: r >= t"}
+            if args.r >= args.t:  # the library checks t >= 2 and r >= 1
+                result = {"satnum": staropt.satnum_star_star(
+                    args.n, args.r, args.t), "m0": None, "tie": None,
+                    "xbar": None, "note": "trivially zero: r >= t"}
             else:
                 inst = staropt.star_star_instance(args.n, args.r, args.t)
                 result = {"satnum": inst.satnum, "m0": inst.m0,

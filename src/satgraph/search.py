@@ -36,17 +36,18 @@ When k ties with others, C is accepted when w* is k or C - w* has P's
 canonical code, decided as cheaply as possible:
   * when every minimizer is a twin of k (N(u) - k = N(k) - u, so the
     transposition (u k) is an automorphism), w* is in k's orbit;
-  * otherwise C's equitable partition is computed.  The invariant is
-    constant on its cells and canonical_raw keeps every vertex inside
-    its initial cell (see canon), so w* lies in the last cell L of
-    minimizers.  If k is in L and every u in L is a twin of k or, at the
-    final order, the image of k under an automorphism that canon found
-    from k's leaf, computed once per child, and checked edge by edge, L
-    is inside k's orbit.  A candidate that fails proves nothing, so it
-    falls back to the canonical form, never to a rejection; below the
-    final order C's form follows acceptance anyway, so none is tried.
-    If L is one vertex w other than k, w is w* and only the deletion
-    check C - w is needed; else C's canonical form names w*;
+  * otherwise C's equitable partition, a list of vertex masks, is
+    computed.  The invariant is constant on its cells and canonical_raw
+    keeps every vertex inside its initial cell (see canon), so w* lies
+    in the last cell L of minimizers.  If k is in L and every u in L is
+    a twin of k or, at the final order, the image of k under an
+    automorphism that canon found from k's leaf, computed once per
+    child, and checked edge by edge, L is inside k's orbit.  A candidate
+    that fails proves nothing, so it falls back to the canonical form,
+    never to a rejection; below the final order C's form follows
+    acceptance anyway, so none is tried.  If L is one vertex w other
+    than k, w is w* and only the deletion check C - w is needed; else w*
+    is the vertex of L that C's canonical form places last;
   * a deletion check compares the sorted (degree, sorted neighbour
     degrees) pairs of C - w*, read off C's rows with w* masked out, with
     P's, computed once per parent; only equal pairs, an isomorphism
@@ -334,17 +335,17 @@ def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden,
     cells = equitable_partition(n, adj_child)
     # the minimizers are a union of cells, and w* is in the last of them
     tied |= 1 << k
-    last = next(c for c in reversed(cells) if tied >> c[0] & 1)
-    if k in last:
-        rest = [u for u in last if u != k and not twin(u)]
+    last = next(c for c in reversed(cells) if tied & c)
+    if last >> k & 1:
+        rest = [u for u in bits(last ^ 1 << k) if not twin(u)]
         send = final and rest and automorphisms_from(adj_child, cells, k)
         if not rest or send and all(send(u) is not None for u in rest):
             return adj_child, True, cells, None, False  # L is in k's orbit
-    if len(last) == 1:  # w* is the one vertex of the cell, not k
-        wstar, canon = last[0], None
+    if last & (last - 1) == 0:  # w* is the one vertex of the cell, not k
+        wstar, canon = last.bit_length() - 1, None
     else:
         canon = canonical_raw(n, adj_child, cells=cells)
-        wstar = max(last, key=canon[1].index)  # the one placed last
+        wstar = next(v for v in reversed(canon[1]) if last >> v & 1)
     if wstar == k:
         return adj_child, True, cells, canon, False
     if "profile" not in memo:  # P's, at its first child's deletion check

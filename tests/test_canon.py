@@ -9,8 +9,8 @@ from satgraph.canon import (_refine, are_isomorphic, automorphism_sending,
                             automorphisms_from, canonical_form,
                             canonical_graph, canonical_raw,
                             equitable_partition, orbit)
-from satgraph.graph import (Graph, build_graph, complete_graph, cycle_graph,
-                            empty_graph, path_graph, star_graph)
+from satgraph.graph import (Graph, bits, build_graph, complete_graph,
+                            cycle_graph, empty_graph, path_graph, star_graph)
 from satgraph.search import enumerate_graphs
 from satgraph import constructions as cons
 
@@ -217,11 +217,17 @@ def test_automorphism_generators_generate_the_group(rng):
                     _assert_generators_complete(h, order)
 
 
+def _cell_lists(cells):
+    """Vertex-mask cells as lists of their vertices, ascending: the order
+    the cells had when they were lists."""
+    return [list(bits(c)) for c in cells]
+
+
 def _assert_positions_in_initial_cells(g):
     cells = equitable_partition(g.n, g.adj)
     raw = canonical_raw(g.n, g.adj)
     start = 0
-    for cell in cells:
+    for cell in _cell_lists(cells):
         assert sorted(raw[1][start:start + len(cell)]) == sorted(cell)
         start += len(cell)
     assert start == g.n
@@ -253,7 +259,7 @@ def _assert_sent_automorphisms_sound(g):
     cells = equitable_partition(g.n, g.adj)
     gens = canonical_raw(g.n, g.adj)[2]
     found = 0
-    for cell in cells:
+    for cell in _cell_lists(cells):
         for a in cell:
             for b in cell:
                 sigma = (None if a == b
@@ -356,20 +362,26 @@ def _refinement_inputs(g):
 def test_refine_equals_reference_kernel():
     """The refinement kernel, which stops at a discrete partition, gives
     exactly the ordered partition of the kernel it replaced, on every
-    input equitable_partition and _individualize would hand it: every
-    class on at most 7 vertices and seeded G(n, p) graphs on 8..12."""
+    input equitable_partition and _individualize would hand it, the
+    cells as vertex masks: every class on at most 7 vertices, seeded
+    G(n, p) graphs on 8..12, and seeded regular graphs, whose one-cell
+    partition is split by splitters of several vertices."""
     rng = random.Random(20261018)
     sample = [g for n in range(1, 8) for g in enumerate_graphs(n)]
     sample += [random_graph(rng, n, p) for n in range(8, 13)
                for p in (0.1, 0.3, 0.5, 0.7, 0.9) for _ in range(6)]
+    sample += [_random_regular(rng, n, d) for n, d in
+               ((8, 3), (9, 4), (10, 3), (10, 4), (12, 3), (12, 5))
+               for _ in range(4)]
     checked = 0
     for g in sample:
         for cells, queue in _refinement_inputs(g):
             expected = _refine_reference(g.adj, [c[:] for c in cells], queue)
-            assert _refine(g.adj, [c[:] for c in cells], queue) == expected
+            masks = [sum(1 << v for v in c) for c in cells]
+            assert _cell_lists(_refine(g.adj, masks, queue)) == expected
             checked += 1
         expected = _refine_reference(g.adj, *next(_refinement_inputs(g)))
-        assert equitable_partition(g.n, g.adj) == expected
+        assert _cell_lists(equitable_partition(g.n, g.adj)) == expected
     assert checked > 5000
 
 
@@ -384,7 +396,7 @@ def test_automorphisms_from_shares_one_path():
                for p in (0.2, 0.5, 0.8) for _ in range(5)]
     for g in sample:
         cells = equitable_partition(g.n, g.adj)
-        for cell in (c for c in cells if len(c) > 1):
+        for cell in (c for c in _cell_lists(cells) if len(c) > 1):
             for a in cell:
                 send = automorphisms_from(g.adj, cells, a)
                 for b in cell:

@@ -121,6 +121,25 @@ def test_domain_error_exit_3(capsys):
     assert "error" in blob and blob["error"]["code"]
 
 
+def test_trivial_star_star_checks_t_and_r(capsys):
+    """The r >= t shortcut of m0 and satnum star-star validates t as the
+    library does (r >= t >= 2 then gives r >= 1), and still gives its
+    note on valid input."""
+    for argv, message in (
+            (["satnum", "star-star", "--n", "-4", "--r", "0", "--t", "0"],
+             "need t >= 2"),
+            (["m0", "--n", "5", "--r", "3", "--t", "1"], "need t >= 2"),
+            (["m0", "--n", "5", "--r", "0", "--t", "-1"], "need t >= 2")):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 3, argv
+        assert payload(out)["error"] == {"code": "domain", "message": message}
+    code, out, _ = invoke(capsys, "m0", "--n", "9", "--r", "5", "--t", "3")
+    assert code == 0
+    assert payload(out)["result"] == {"satnum": 0, "m0": None, "tie": None,
+                                      "xbar": None,
+                                      "note": "trivially zero: r >= t"}
+
+
 def test_schema_flag(capsys):
     code, out, _ = invoke(capsys, "--schema")
     assert code == 0

@@ -1,9 +1,11 @@
 """Saturation verdicts against networkx, an independent oracle.
 
 Every graph of networkx's atlas (all 1,253 graphs on at most 7 vertices)
-is checked against K3, K4, S2, S3, P4 and C4.  Copies are found with
-GraphMatcher subgraph monomorphisms, which share no code with satgraph's
-embedding, clique and star kernels.
+is checked against K3, K4, S2, S3, P4 and C4, and the atlas's classes on
+4..7 vertices stand in for the search's enumeration in satnum_exact.
+Copies are found with GraphMatcher subgraph monomorphisms, which share no
+code with satgraph's embedding, clique and star kernels, nor the atlas
+with its canonical forms.
 """
 
 from collections import Counter
@@ -15,7 +17,9 @@ from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
 
 from satgraph.graph import Graph  # noqa: E402
 from satgraph.patterns import clique, parse_pattern, star  # noqa: E402
+from satgraph.errors import NoneExistError  # noqa: E402
 from satgraph.saturation import is_saturated  # noqa: E402
+from satgraph.search import satnum_exact  # noqa: E402
 
 
 def _has_copy(host, pattern) -> bool:
@@ -73,3 +77,53 @@ def test_saturation_verdicts_match_networkx_atlas():
                 verdicts["unsaturated"] += 1
     assert verdicts == {"violation": 6145, "unsaturated": 1271,
                         "saturated": 102}
+
+
+def _copies(host, pattern) -> int:
+    """Subgraphs of host isomorphic to pattern: monomorphisms over
+    automorphisms."""
+    maps = sum(1 for _ in GraphMatcher(host, pattern)
+               .subgraph_monomorphisms_iter())
+    auts = sum(1 for _ in GraphMatcher(pattern, pattern).isomorphisms_iter())
+    return maps // auts
+
+
+def test_satnum_exact_matches_networkx_atlas():
+    """satnum_exact against the atlas, one graph per class on n vertices:
+    the F-free classes are the graphs examined, the saturated ones among
+    them give the minimum of count-copies, and every witness is
+    isomorphic to an atlas minimizer.  Below the pattern order only the
+    complete graph is saturated, and the search reports none-exist."""
+    atlas = nx.graph_atlas_g()
+    forbids = ["K3", "K4", "S3", "S4", "P4", "C4"]
+    counts = [parse_pattern(s) for s in ("S1", "S2", "K3")]
+    count_graphs = [nx.Graph(list(c.to_graph().edges())) for c in counts]
+    seen = Counter()
+    for n in range(4, 8):
+        hosts = [h for h in atlas if h.number_of_nodes() == n]
+        for name in forbids:
+            f = parse_pattern(name)
+            pat = nx.Graph(list(f.to_graph().edges()))
+            free = [h for h in hosts if not _has_copy(h, pat)]
+            sat = [h for h in free if all(
+                _creates(h, pat, u, v) for u, v in nx.non_edges(h))]
+            if n < f.order:
+                assert [h.number_of_edges() for h in sat] == [n * (n - 1) // 2]
+                for c in counts:
+                    with pytest.raises(NoneExistError):
+                        satnum_exact(n, f, c)
+                seen["none-exist"] += 1
+                continue
+            for c, cg in zip(counts, count_graphs):
+                values = [_copies(h, cg) for h in sat]
+                best = min(values)
+                rep = satnum_exact(n, f, c)
+                assert (rep.minimum, rep.saturated_found,
+                        rep.graphs_examined) == (best, len(sat), len(free))
+                minimizers = [h for h, x in zip(sat, values) if x == best]
+                assert rep.witness_total == len(minimizers)
+                for w in rep.witnesses:
+                    wg = nx.from_graph6_bytes(w.encode())
+                    assert any(nx.is_isomorphic(wg, h) for h in minimizers)
+                seen["agree"] += 1
+    assert seen == {"agree": 69, "none-exist": 1}
