@@ -26,8 +26,10 @@ a smaller group would give its class twice.
 The parent test rejects C when k is not an invariant minimizer.  Both
 invariant layers are decided before C's rows are built, on P's vertices
 by degree: C's degree-d vertices are P's of degree d outside S and of
-degree d - 1 in S, and sorted neighbour degrees, lists of one length,
-compare as their counts per degree class of C, negated.  When k is the
+degree d - 1 in S.  Sorted neighbour degrees, lists of one length,
+compare as their counts per degree class of C, a larger count first: so
+C's classes are walked from k's degree up, and each vertex tied with k
+is decided at the first class where its count differs.  When k is the
 only minimizer, C is accepted with no canonical form: an isomorphism
 between two such children of P fixes k and so carries one mask to the
 other by an automorphism of P, which the orbit pruning excludes; and no
@@ -48,10 +50,11 @@ canonical code, decided as cheaply as possible:
     acceptance anyway, so none is tried.  If L is one vertex w other
     than k, w is w* and only the deletion check C - w is needed; else w*
     is the vertex of L that C's canonical form places last;
-  * a deletion check compares the sorted (degree, sorted neighbour
-    degrees) pairs of C - w*, read off C's rows with w* masked out, with
-    P's, computed once per parent; only equal pairs, an isomorphism
-    invariant, need the canonical code of C - w*'s rows.
+  * a deletion check compares the sorted (degree, neighbour count per
+    degree class) vectors of C - w*, read off C's rows with w* masked
+    out, with P's, computed once per parent; they are equal exactly when
+    the (degree, sorted neighbour degrees) pairs are, and only equal
+    ones, an isomorphism invariant, need the code of C - w*'s rows.
 Two accepted children of one parent with w* in k's orbit are never
 isomorphic, by the argument for a unique minimizer.  Only a child
 accepted with w* outside k's orbit (a pseudo-similar deletion) can
@@ -246,12 +249,15 @@ def _submasks(allowed: int, top: int):
 
 
 def _profile(adj, drop: int = -1):
-    """The sorted (degree, sorted neighbour degrees) pairs of the graph on
-    the rows adj, less the vertex drop where one is given: an isomorphism
-    invariant, read off the rows with drop masked out."""
+    """The sorted (degree, neighbour count per degree class) vectors of
+    the graph on the rows adj, less the vertex drop where one is given,
+    read off the rows with drop masked out: the deletion check's profile."""
     keep = ~(1 << drop) if drop >= 0 else -1
-    deg = [(a & keep).bit_count() for a in adj]
-    return sorted((deg[v], sorted(deg[u] for u in bits(adj[v] & keep)))
+    # drop's row is cleared, so its degree sets no vector length
+    rows = [0 if v == drop else a & keep for v, a in enumerate(adj)]
+    deg = [a.bit_count() for a in rows]
+    masks = _degree_masks(deg)
+    return sorted([deg[v]] + [(rows[v] & m).bit_count() for m in masks]
                   for v in range(len(adj)) if v != drop)
 
 
@@ -280,20 +286,23 @@ def _minimizers(adjP, dmasks, k: int, nmask: int) -> int | None:
     # C's degree classes: P's by degree, each vertex of nmask one up; at
     # d = 0 nmask is empty, so dmasks[-1] adds nothing
     tied = dmasks[d] & ~nmask | dmasks[d - 1] & nmask
-    if not tied:
-        return 0
-    # sorted neighbour degrees, lists of length d, compare as their counts
-    # per degree class of C from d upwards, negated
-    classes = [tied | 1 << k] + [dmasks[x] & ~nmask | dmasks[x - 1] & nmask
-                                 for x in range(d + 1, len(dmasks))]
-    kkey = [-(nmask & c).bit_count() for c in classes]
-    for v in bits(tied):
-        row = adjP[v] | 1 << k if nmask >> v & 1 else adjP[v]
-        key = [-(row & c).bit_count() for c in classes]
-        if key < kkey:
-            return None
-        if key != kkey:
-            tied &= ~(1 << v)
+    # a tied vertex is decided at the first class of C, from d upwards,
+    # where its neighbour count differs from k's: smaller than k if larger
+    for x in range(d, len(dmasks)):
+        if not tied:
+            return 0
+        cls = dmasks[x] & ~nmask | dmasks[x - 1] & nmask | (x == d) << k
+        own = (nmask & cls).bit_count()
+        rest = tied
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = adjP[low.bit_length() - 1] | (1 << k if nmask & low else 0)
+            count = (row & cls).bit_count()
+            if count > own:
+                return None
+            if count < own:
+                tied ^= low
     return tied
 
 

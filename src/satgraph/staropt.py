@@ -149,13 +149,15 @@ def m0(n: int, r: int, t: int) -> tuple[int, bool]:
 def satnum_star_star(n: int, r: int, t: int) -> int:
     """Minimum r-star count among S_t-saturated graphs on n vertices.
 
-    Zero when r >= t (no S_t-free graph has a vertex of degree >= t,
-    hence none of degree >= r)."""
+    Zero when r >= t and n >= 1 (no S_t-free graph has a vertex of
+    degree >= t, hence none of degree >= r)."""
     if t < 2:
         raise DomainError("need t >= 2")
     if r < 1:
         raise DomainError("need r >= 1")
     if r >= t:
+        if n < 1:
+            raise DomainError(f"need n >= 1, got n={n}")
         return 0
     return star_star_instance(n, r, t).satnum
 

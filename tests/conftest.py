@@ -111,6 +111,21 @@ def random_graph(rng, n: int, p: float = 0.5) -> Graph:
     return Graph(n, adj)
 
 
+def random_regular(rng, n: int, d: int) -> Graph:
+    """A uniform pairing of n * d stubs, redrawn until it is simple."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        adj = [0] * n
+        for u, v in zip(stubs[::2], stubs[1::2]):
+            if u == v or adj[u] >> v & 1:
+                break
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        else:
+            return Graph(n, adj)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One pass/fail line per acceptance criterion."""
     lines = []

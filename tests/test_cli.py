@@ -122,14 +122,18 @@ def test_domain_error_exit_3(capsys):
 
 
 def test_trivial_star_star_checks_t_and_r(capsys):
-    """The r >= t shortcut of m0 and satnum star-star validates t as the
-    library does (r >= t >= 2 then gives r >= 1), and still gives its
+    """The r >= t shortcut of m0 and satnum star-star validates t and n as
+    the library does (r >= t >= 2 then gives r >= 1), and still gives its
     note on valid input."""
     for argv, message in (
             (["satnum", "star-star", "--n", "-4", "--r", "0", "--t", "0"],
              "need t >= 2"),
             (["m0", "--n", "5", "--r", "3", "--t", "1"], "need t >= 2"),
-            (["m0", "--n", "5", "--r", "0", "--t", "-1"], "need t >= 2")):
+            (["m0", "--n", "5", "--r", "0", "--t", "-1"], "need t >= 2"),
+            (["satnum", "star-star", "--n", "-4", "--r", "5", "--t", "3"],
+             "need n >= 1, got n=-4"),
+            (["m0", "--n", "0", "--r", "4", "--t", "4"],
+             "need n >= 1, got n=0")):
         code, out, _ = invoke(capsys, *argv)
         assert code == 3, argv
         assert payload(out)["error"] == {"code": "domain", "message": message}

@@ -1,8 +1,9 @@
 """Saturation verdicts against networkx, an independent oracle.
 
 Every graph of networkx's atlas (all 1,253 graphs on at most 7 vertices)
-is checked against K3, K4, S2, S3, P4 and C4, and the atlas's classes on
-4..7 vertices stand in for the search's enumeration in satnum_exact.
+is checked against K3, K4, S2, S3, P4 and C4, the atlas's classes on
+4..7 vertices stand in for the search's enumeration in satnum_exact, and
+they are counted by order and size against enumerate_classes.
 Copies are found with GraphMatcher subgraph monomorphisms, which share no
 code with satgraph's embedding, clique and star kernels, nor the atlas
 with its canonical forms.
@@ -19,7 +20,8 @@ from satgraph.graph import Graph  # noqa: E402
 from satgraph.patterns import clique, parse_pattern, star  # noqa: E402
 from satgraph.errors import NoneExistError  # noqa: E402
 from satgraph.saturation import is_saturated  # noqa: E402
-from satgraph.search import satnum_exact  # noqa: E402
+from satgraph.search import (SearchConstraints, enumerate_classes,  # noqa: E402
+                             satnum_exact)
 
 
 def _has_copy(host, pattern) -> bool:
@@ -127,3 +129,29 @@ def test_satnum_exact_matches_networkx_atlas():
                     assert any(nx.is_isomorphic(wg, h) for h in minimizers)
                 seen["agree"] += 1
     assert seen == {"agree": 69, "none-exist": 1}
+
+
+def test_enumerate_classes_counts_match_networkx_atlas():
+    """enumerate_classes gives as many classes of each order n <= 7 and
+    each edge count as the atlas has, one graph per class: with no
+    constraint, forbidding K3, K4 or C4, under max_degree 2 and 3 (for
+    n above the cap, where it is valid) and under connected_only.  The
+    atlas side shares no code with the parent test."""
+    atlas = nx.graph_atlas_g()
+    pats = {name: nx.Graph(list(parse_pattern(name).to_graph().edges()))
+            for name in ("K3", "K4", "C4")}
+    cases = [(SearchConstraints(), lambda h: True)]
+    cases += [(SearchConstraints(forbidden=(parse_pattern(name),)),
+               lambda h, pat=pat: not _has_copy(h, pat))
+              for name, pat in pats.items()]
+    cases += [(SearchConstraints(max_degree=cap),
+               lambda h, cap=cap: max(d for _, d in h.degree) <= cap)
+              for cap in (2, 3)]
+    cases.append((SearchConstraints(connected_only=True), nx.is_connected))
+    for cons, keep in cases:
+        orders = range((cons.max_degree or 0) + 1, 8)
+        want = Counter((h.number_of_nodes(), h.number_of_edges()) for h in
+                       atlas if h.number_of_nodes() in orders and keep(h))
+        got = Counter((n, sum(a.bit_count() for a in adj) // 2)
+                      for n in orders for adj, _ in enumerate_classes(n, cons))
+        assert got == want, cons

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,8 @@ from satgraph.search import (SearchConstraints, clear_cache, enumerate_classes,
                              satnum_exact, saturated_classes, tstar_scan)
 from satgraph import constructions as cons
 
-from conftest import burnside_class_count, labeled_class_count, random_graph
+from conftest import (burnside_class_count, labeled_class_count, random_graph,
+                      random_regular)
 
 
 def test_class_counts_brute_force_n_le_5():
@@ -388,6 +390,75 @@ def test_masked_profile_equals_profile_of_deleted_graph():
             for w in range(n):
                 assert (search._profile(g.adj, w)
                         == search._profile(h.delete_vertex(perm[w]).adj))
+
+
+def _profile_reference(adj, drop=-1):
+    """The list-based profile: the sorted (degree, sorted neighbour
+    degrees) pairs of the graph on the rows adj, less the vertex drop."""
+    keep = [v for v in range(len(adj)) if v != drop]
+    deg = {v: sum(adj[v] >> u & 1 for u in keep) for v in keep}
+    return sorted((deg[v], sorted(deg[u] for u in keep if adj[v] >> u & 1))
+                  for v in keep)
+
+
+def _edge_switched(rng, g, switches):
+    """g after up to switches random double-edge swaps ab, cd -> ad, cb,
+    each made only where it keeps the graph simple: degrees stay."""
+    adj = list(g.adj)
+    for _ in range(switches):
+        edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                 if adj[u] >> v & 1]
+        if len(edges) < 2:
+            break
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) < 4 or adj[a] >> d & 1 or adj[c] >> b & 1:
+            continue
+        for u, v in ((a, b), (c, d), (a, d), (c, b)):
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+    return Graph(g.n, adj)
+
+
+def test_profile_equal_exactly_when_list_profiles_equal():
+    """Two count-vector profiles are equal exactly when the list-based
+    (degree, sorted neighbour degrees) profiles are, with and without a
+    dropped vertex, and for C - w against a graph on one vertex fewer as
+    in the deletion check.  The seeded pairs share a degree sequence
+    where they can: G(n, p) graphs against edge-switched copies and
+    relabellings, and random regular graphs against each other and their
+    switched copies, so that equal profiles are common."""
+    rng = random.Random(20261019)
+    pairs = []
+    for n in range(2, 11):
+        for p in (0.2, 0.5, 0.8):
+            g = random_graph(rng, n, p)
+            pairs += [(g, random_graph(rng, n, p)),
+                      (g, _edge_switched(rng, g, 3)),
+                      (g, g.relabel(rng.sample(range(n), n)))]
+    for n, d in ((6, 3), (8, 3), (8, 4), (9, 4), (10, 3), (10, 5)):
+        for _ in range(3):
+            g = random_regular(rng, n, d)
+            pairs += [(g, random_regular(rng, n, d)),
+                      (g, _edge_switched(rng, g, 4))]
+    outcomes = Counter()
+
+    def agree(a, da, b, db):
+        equal = search._profile(a, da) == search._profile(b, db)
+        assert equal == (_profile_reference(a, da)
+                         == _profile_reference(b, db)), (a, da, b, db)
+        outcomes[da >= 0, db >= 0, equal] += 1
+
+    for g, h in pairs:
+        agree(g.adj, -1, h.adj, -1)
+        for w in range(g.n):
+            agree(g.adj, w, h.adj, w)
+            agree(g.adj, w, h.adj, rng.randrange(g.n))
+            agree(g.adj, w, h.delete_vertex(rng.randrange(g.n)).adj, -1)
+    assert all(outcomes[da, db, equal] > 20 for da, db in
+               ((False, False), (True, True), (True, False))
+               for equal in (False, True)), outcomes
 
 
 def _minimizers_reference(adjP, k, nmask):
