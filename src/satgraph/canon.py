@@ -28,17 +28,14 @@ The enumerator relies on this to find the canonical deletion vertex in
 the last cell of invariant minimizers, and passes the partition it has
 computed into canonical_raw as ``cells`` so it is not computed twice.
 
-automorphism_sending runs one path of the same search on two copies of
-a partition: it individualizes a on one and b on the other, then the
-first vertex of the first non-singleton cell on each, and reads a
-bijection off the two discrete partitions.  The bijection is returned
-only after an edge-by-edge check, so an accepted pair is always in one
-orbit; a refusal proves nothing.  The enumerator uses it, through
-automorphisms_from, which computes a's side once for every b, to settle
-a tied minimizer cell with no canonical form.  Comparing the cell sizes
-of the two sides step by step would only reject earlier: when the
-bijection is an automorphism, it maps each partition of a's side onto
-the one of b's side at the same step.
+automorphisms_from runs one path of the same search on two copies of
+a partition, individualizing a on one and b on the other, and returns
+the bijection it reads off only after an edge-by-edge check: an accepted
+pair is always in one orbit, a refusal proves nothing.  The enumerator
+uses it to settle a tied minimizer cell with no canonical form.
+Comparing the cell sizes of the two sides step by step would only reject
+earlier: when the bijection is an automorphism, it maps each partition
+of a's side onto the one of b's side at the same step.
 
 Each node extends its parent's prefix columns (one per leading singleton
 cell) by the columns of its new singletons only, and prunes by
@@ -125,8 +122,17 @@ def _individualize(adj: AdjRows, cells: list[int], i: int,
 
 
 def automorphisms_from(adj: AdjRows, cells: list[int], a: int):
-    """The function ``b -> automorphism_sending(adj, cells, a, b)``, which
-    computes a's side of the path once for every b."""
+    """The function sending b to an automorphism of the graph that sends
+    a to b, or to None where this one-path search finds none; a's side is
+    computed once for every b.
+
+    ``cells`` is the graph's equitable partition, with a and b distinct
+    vertices of one cell.  Each side individualizes its vertex, then the
+    first vertex of the first non-singleton cell, until its partition is
+    discrete; position by position the two give a bijection, returned
+    only when it maps every row onto the row of the image, edge by edge.
+    None proves nothing: the vertices chosen on the two sides did not
+    correspond, and a and b may still lie in one orbit."""
     i = next(i for i, cell in enumerate(cells) if cell >> a & 1)
 
     def leaf(v: int) -> list[int]:
@@ -153,22 +159,6 @@ def automorphisms_from(adj: AdjRows, cells: list[int], a: int):
         return tuple(sigma)
 
     return sending
-
-
-def automorphism_sending(adj: AdjRows, cells: list[int], a: int,
-                         b: int) -> tuple[int, ...] | None:
-    """An automorphism of the graph that sends a to b, or None where this
-    one-path search finds none.
-
-    ``cells`` is the graph's equitable partition, with a and b distinct
-    vertices of one cell.  a and b are individualized on two copies of
-    it, and then the first vertex of the first non-singleton cell on each
-    side, until both partitions are discrete; position by position the
-    two give a bijection.  It is returned only when it maps every row
-    onto the row of the image, edge by edge.  None proves nothing: the
-    vertices chosen on the two sides did not correspond, and a and b may
-    still lie in one orbit."""
-    return automorphisms_from(adj, cells, a)(b)
 
 
 def equitable_partition(n: int, adj: AdjRows) -> list[int]:

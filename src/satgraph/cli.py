@@ -298,7 +298,7 @@ def _bounds(args) -> dict:
 
 
 def _params(args) -> dict:
-    skip = {"command", "mode", "what", "schema", "func"}
+    skip = {"command", "mode", "what", "schema"}
     return {k: v for k, v in vars(args).items()
             if v is not None and k not in skip}
 
@@ -438,7 +438,13 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: nothing more to say
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

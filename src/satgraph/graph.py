@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from base64 import b64decode, b64encode
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, FormatError
@@ -150,9 +149,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u] >> (u + 1) << (u + 1))]
 
-    def non_edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, v in combinations(range(self.n), 2) if not self.has_edge(u, v)]
-
     def neighbors(self, v: int) -> list[int]:
         return list(bits(self.adj[v]))
 
@@ -164,12 +160,6 @@ class Graph:
         adj = list(self.adj)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        return Graph(self.n, adj)
-
-    def without_edge(self, u: int, v: int) -> "Graph":
-        adj = list(self.adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
         return Graph(self.n, adj)
 
     def delete_vertex(self, x: int) -> "Graph":
@@ -397,7 +387,3 @@ def decode_graph6(text: str) -> Graph:
 
 def to_adjacency_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
-
-
-def from_adjacency_json(obj: dict) -> Graph:
-    return build_graph(int(obj["n"]), [tuple(e) for e in obj["edges"]])

@@ -74,17 +74,6 @@ class PatternSpec:
         row = _SYMBOLIC.get(self.kind)
         return self.graph if row is None else row.build(self.size)
 
-    @property
-    def orbit_representatives(self) -> tuple[int, ...]:
-        """The least vertex of each Aut(F)-orbit of the pattern graph F."""
-        return _compiled(self._graph)[0]
-
-    @property
-    def arc_representatives(self) -> tuple[tuple[int, int], ...]:
-        """The least arc (a, b), ab an edge of F, of each Aut(F)-orbit of
-        arcs."""
-        return _compiled(self._graph)[1]
-
     @cached_property
     def plans(self) -> dict[int, tuple]:
         """Embedding plans for a copy through k pinned host vertices, by k:
@@ -95,7 +84,7 @@ class PatternSpec:
         pattern has no vertex to pin, and every graph holds it.  Kept on
         the instance, so the saturation kernel reads it without a cache
         lookup."""
-        return _compiled(self._graph)[2]
+        return _compiled(self._graph)
 
     @property
     def order(self) -> int:
@@ -155,10 +144,10 @@ def parse_pattern(text: str) -> PatternSpec:
 
 @cache
 def _compiled(g: Graph):
-    """The orbit and arc representatives and the plans of a PatternSpec of
-    graph g, once per process: code, not answers, so search.clear_cache
-    keeps them.  Aut(g) moves two copies of g's n vertices in step, and
-    the vertex tuple (x0, x1) is the set {x0, n + x1}."""
+    """The plans of a PatternSpec of graph g, pinned at the least vertex
+    or arc of each Aut(g)-orbit, once per process: code, not answers, so
+    search.clear_cache keeps them.  Aut(g) moves two copies of g's n
+    vertices in step; the vertex tuple (x0, x1) is the set {x0, n + x1}."""
     n = g.n
     gens = [tuple(p) + tuple(n + x for x in p)
             for p in canonical_raw(n, g.adj)[2]]
@@ -172,13 +161,12 @@ def _compiled(g: Graph):
                 covered |= orbit(mask, gens)
         return tuple(out)
 
-    verts = tuple(v for v, in firsts((v,) for v in range(n)))
+    verts = firsts((v,) for v in range(n))
     arcs = firsts((a, b) for a in range(n) for b in bits(g.adj[a]))
     free = (embedding_plan(g),)
-    return verts, arcs, {
-        0: free,
-        1: tuple(embedding_plan(g, (v,)) for v in verts) or free,
-        2: tuple(embedding_plan(g, arc) for arc in arcs)}
+    return {0: free,
+            1: tuple(embedding_plan(g, v) for v in verts) or free,
+            2: tuple(embedding_plan(g, arc) for arc in arcs)}
 
 
 def embedding_plan(pattern: Graph, pinned: tuple[int, ...] = ()):

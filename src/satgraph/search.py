@@ -105,7 +105,7 @@ from .counting import count_pattern, find_clique
 from .errors import DomainError, NoneExistError
 from .graph import Graph, bits, encode_graph6
 from .patterns import PatternSpec, is_connected
-# perfbench/tracing.py wraps search.creates_copy, so the name stays here
+# perfbench/tracing.py wraps contains_copy and creates_copy here; keep them
 from .saturation import (contains_copy, copy_through, creates_copy,  # noqa: F401
                          first_uncreated)
 
@@ -445,13 +445,13 @@ _SAT_CACHE: dict[tuple, tuple] = {}
 
 def saturated_classes(n: int, f: PatternSpec,
                       constraints: SearchConstraints = SearchConstraints(),
-                      auto_prune: bool = True, workers: int = 1):
+                      workers: int = 1):
     """All f-saturated classes on n vertices under the constraints.
 
     Returns (graphs, examined) where graphs is a code-sorted list of
     class representatives.  Results are memoized per parameter key.
     """
-    key = (n, str(f), constraints.key(), auto_prune)
+    key = (n, str(f), constraints.key())
     if key in _SAT_CACHE:
         return _SAT_CACHE[key]
     if n < 1:
@@ -461,13 +461,10 @@ def saturated_classes(n: int, f: PatternSpec,
             f"no {f}-saturated graph on {n} vertices: none exist "
             f"(pattern needs {f.order} vertices; only the complete graph "
             f"is vacuously saturated below that)")
-    gen = constraints.with_forbidden(f) if auto_prune else constraints
-    classes = enumerate_classes(n, gen, workers)
+    classes = enumerate_classes(n, constraints.with_forbidden(f), workers)
     sat = []
     for adj, code in classes:
-        if not auto_prune and contains_copy(Graph(n, adj), f) is not None:
-            continue
-        if _saturated_quick(n, adj, f):
+        if first_uncreated(adj, (f,))[0] is None:  # every non-edge creates f
             if code is None:
                 code = canonical_raw(n, adj)[0]
             sat.append((Graph(n, adj), code))
@@ -475,12 +472,6 @@ def saturated_classes(n: int, f: PatternSpec,
     result = ([g for g, _ in sat], len(classes))
     _SAT_CACHE[key] = result
     return result
-
-
-def _saturated_quick(n: int, adj, f: PatternSpec) -> bool:
-    """Does every non-edge of the graph on the n rows adj, f-free by
-    generation, create a copy of f?"""
-    return first_uncreated(adj, (f,))[0] is None
 
 
 def clear_cache():
@@ -494,10 +485,9 @@ WITNESS_CAP = 64
 
 def satnum_exact(n: int, forbid: PatternSpec, count: PatternSpec,
                  constraints: SearchConstraints = SearchConstraints(),
-                 auto_prune: bool = True, workers: int = 1) -> SearchReport:
+                 workers: int = 1) -> SearchReport:
     """Exact minimum of count-copies over forbid-saturated n-vertex graphs."""
-    sat, examined = saturated_classes(n, forbid, constraints, auto_prune,
-                                      workers)
+    sat, examined = saturated_classes(n, forbid, constraints, workers)
     if not sat:
         raise NoneExistError(
             f"no {forbid}-saturated graph on {n} vertices under the given "
@@ -555,7 +545,7 @@ def exists_saturated_with(n: int, forbid: PatternSpec, prop: tuple,
         gen = gen.with_forbidden(PatternSpec(
             "clique", prop[1] + 1 if kind == "max-clique" else prop[1]))
     try:
-        sat, _ = saturated_classes(n, forbid, gen, True, workers)
+        sat, _ = saturated_classes(n, forbid, gen, workers)
     except NoneExistError:
         return None
     colors = {"bipartite": 2, "r-partite": prop[-1]}.get(kind)
@@ -581,7 +571,7 @@ def tstar_scan(n_max: int, workers: int = 1) -> dict:
     per_n = {}
     for n in range(1, n_max + 1):
         sat = [] if n < spider.order else saturated_classes(
-            n, spider, cons, True, workers)[0]
+            n, spider, cons, workers)[0]
         per_n[n] = {"found": len(sat),
                     "witnesses": [encode_graph6(g) for g in sat[:WITNESS_CAP]],
                     "vacuous_complete": n <= 2}

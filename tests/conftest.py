@@ -13,6 +13,12 @@ import pytest
 from satgraph.graph import Graph
 
 
+def non_edges(g: Graph) -> list[tuple[int, int]]:
+    """The pairs u < v of g that are not edges, in lexicographic order."""
+    return [(u, v) for u, v in combinations(range(g.n), 2)
+            if not g.has_edge(u, v)]
+
+
 def naive_automorphisms(g: Graph) -> int:
     count = 0
     for perm in permutations(range(g.n)):

@@ -6,9 +6,8 @@ from collections import deque
 from itertools import permutations
 
 from satgraph import canon
-from satgraph.canon import (_refine, are_isomorphic, automorphism_sending,
-                            automorphisms_from, canonical_form,
-                            canonical_graph, canonical_raw,
+from satgraph.canon import (_refine, are_isomorphic, automorphisms_from,
+                            canonical_form, canonical_graph, canonical_raw,
                             equitable_partition, orbit)
 from satgraph.graph import (Graph, bits, build_graph, complete_graph,
                             cycle_graph, empty_graph, path_graph, star_graph)
@@ -275,7 +274,7 @@ def test_canonical_positions_stay_in_initial_cells(rng):
 
 
 def _assert_sent_automorphisms_sound(g):
-    """Every automorphism automorphism_sending returns, over all pairs of
+    """Every automorphism automorphisms_from returns, over all pairs of
     distinct vertices of each equitable cell, is one, sends a to b, and
     b is in a's orbit under canonical_raw's generators; returns how many
     pairs it settled."""
@@ -286,7 +285,7 @@ def _assert_sent_automorphisms_sound(g):
         for a in cell:
             for b in cell:
                 sigma = (None if a == b
-                         else automorphism_sending(g.adj, cells, a, b))
+                         else automorphisms_from(g.adj, cells, a)(b))
                 if sigma is None:
                     continue
                 found += 1
@@ -395,7 +394,7 @@ def test_refine_equals_reference_kernel():
 
 def test_automorphisms_from_shares_one_path():
     """One function from automorphisms_from, called for every b of a's
-    cell in turn, returns what automorphism_sending returns for each
+    cell in turn, returns what a fresh automorphisms_from returns for each
     pair: every class on at most 6 vertices and seeded G(n, p) graphs on
     7..9 vertices."""
     rng = random.Random(20261018)
@@ -409,5 +408,5 @@ def test_automorphisms_from_shares_one_path():
                 send = automorphisms_from(g.adj, cells, a)
                 for b in cell:
                     if b != a:
-                        assert send(b) == automorphism_sending(
-                            g.adj, cells, a, b)
+                        assert send(b) == automorphisms_from(
+                            g.adj, cells, a)(b)

@@ -1,6 +1,8 @@
 """CLI behavior: JSON output, exit codes, schema, certify."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 from collections import OrderedDict, namedtuple
@@ -8,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import satgraph
 from satgraph.cli import _jsonable, run
 from satgraph.graph import decode_graph6, encode_graph6
 from satgraph import constructions as cons
@@ -458,3 +461,20 @@ def test_schema_names_every_result_key(capsys, tmp_path):
                           "--forbid", "K3", "--count", "S1")
     assert code == 3
     _keys_match_schema(payload(out), schema["error_report"], "error")
+
+
+def test_closed_stdout_exits_io_without_traceback():
+    """A reader that closes stdout before the report is written (as
+    ``| head -c 10`` does) ends the command with exit 3, the io class,
+    and no traceback on stderr."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(satgraph.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "satgraph.cli", "construct", "kr", "--t", "5",
+         "--n", "40", "--m", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # before the child can write: every write fails
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert "Traceback" not in err

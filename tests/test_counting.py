@@ -16,7 +16,7 @@ from satgraph.graph import (complete_graph, cycle_graph, empty_graph, join,
 from satgraph.patterns import star, path, tree_pattern
 from satgraph import constructions as cons
 
-from conftest import naive_count_copies, random_graph
+from conftest import naive_count_copies, non_edges, random_graph
 
 # frozen example values (hand-derived, re-checked by the naive oracle below)
 
@@ -196,7 +196,7 @@ def test_monotone_under_edge_addition(rng):
     g = random_graph(rng, 7, 0.35)
     pats = [clique(3), star(2), star(3), path(4), cycle(4),
             tree_pattern(cons.t_star())]
-    for u, v in g.non_edges():
+    for u, v in non_edges(g):
         bigger = g.with_edge(u, v)
         for p in pats:
             assert count_pattern(bigger, p) >= count_pattern(g, p)

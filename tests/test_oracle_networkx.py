@@ -94,12 +94,21 @@ def test_satnum_exact_matches_networkx_atlas():
     """satnum_exact against the atlas, one graph per class on n vertices:
     the F-free classes are the graphs examined, the saturated ones among
     them give the minimum of count-copies, and every witness is
-    isomorphic to an atlas minimizer.  Below the pattern order only the
-    complete graph is saturated, and the search reports none-exist."""
+    isomorphic to an atlas minimizer.  The same holds under max_degree 2
+    and 3 and under connected_only, with the atlas graphs that meet the
+    constraint.  Below the pattern order only the complete graph is
+    saturated, and the search reports none-exist, as it does where no
+    saturated graph meets the constraint."""
     atlas = nx.graph_atlas_g()
     forbids = ["K3", "K4", "S3", "S4", "P4", "C4"]
     counts = [parse_pattern(s) for s in ("S1", "S2", "K3")]
     count_graphs = [nx.Graph(list(c.to_graph().edges())) for c in counts]
+    cases = [("free", SearchConstraints(), lambda h: True)]
+    cases += [(f"max_degree={cap}", SearchConstraints(max_degree=cap),
+               lambda h, cap=cap: max(d for _, d in h.degree) <= cap)
+              for cap in (2, 3)]
+    cases.append(("connected", SearchConstraints(connected_only=True),
+                  nx.is_connected))
     seen = Counter()
     for n in range(4, 8):
         hosts = [h for h in atlas if h.number_of_nodes() == n]
@@ -107,28 +116,42 @@ def test_satnum_exact_matches_networkx_atlas():
             f = parse_pattern(name)
             pat = nx.Graph(list(f.to_graph().edges()))
             free = [h for h in hosts if not _has_copy(h, pat)]
-            sat = [h for h in free if all(
-                _creates(h, pat, u, v) for u, v in nx.non_edges(h))]
+            # the saturated hosts, with their copies of each count pattern
+            copies = {id(h): [_copies(h, cg) for cg in count_graphs]
+                      for h in free if all(_creates(h, pat, u, v)
+                                           for u, v in nx.non_edges(h))}
             if n < f.order:
-                assert [h.number_of_edges() for h in sat] == [n * (n - 1) // 2]
-                for c in counts:
-                    with pytest.raises(NoneExistError):
-                        satnum_exact(n, f, c)
-                seen["none-exist"] += 1
-                continue
-            for c, cg in zip(counts, count_graphs):
-                values = [_copies(h, cg) for h in sat]
-                best = min(values)
-                rep = satnum_exact(n, f, c)
-                assert (rep.minimum, rep.saturated_found,
-                        rep.graphs_examined) == (best, len(sat), len(free))
-                minimizers = [h for h, x in zip(sat, values) if x == best]
-                assert rep.witness_total == len(minimizers)
-                for w in rep.witnesses:
-                    wg = nx.from_graph6_bytes(w.encode())
-                    assert any(nx.is_isomorphic(wg, h) for h in minimizers)
-                seen["agree"] += 1
-    assert seen == {"agree": 69, "none-exist": 1}
+                assert [h.number_of_edges() for h in free
+                        if id(h) in copies] == [n * (n - 1) // 2]
+            for label, cons, keep in cases:
+                kept = [h for h in free if keep(h)]
+                sat = [h for h in kept if id(h) in copies]
+                if n < f.order or not sat:
+                    for c in counts:
+                        with pytest.raises(NoneExistError):
+                            satnum_exact(n, f, c, cons)
+                    seen[label, "none-exist"] += 1
+                    continue
+                for i, c in enumerate(counts):
+                    values = [copies[id(h)][i] for h in sat]
+                    best = min(values)
+                    rep = satnum_exact(n, f, c, cons)
+                    assert (rep.minimum, rep.saturated_found,
+                            rep.graphs_examined) == (best, len(sat),
+                                                     len(kept)), label
+                    minimizers = [h for h, x in zip(sat, values) if x == best]
+                    assert rep.witness_total == len(minimizers)
+                    for w in rep.witnesses:
+                        wg = nx.from_graph6_bytes(w.encode())
+                        assert any(nx.is_isomorphic(wg, h) for h in minimizers)
+                    seen[label, "agree"] += 1
+    assert seen == {("free", "agree"): 69, ("free", "none-exist"): 1,
+                    ("max_degree=2", "agree"): 33,
+                    ("max_degree=2", "none-exist"): 13,
+                    ("max_degree=3", "agree"): 60,
+                    ("max_degree=3", "none-exist"): 4,
+                    ("connected", "agree"): 69,
+                    ("connected", "none-exist"): 1}
 
 
 def test_enumerate_classes_counts_match_networkx_atlas():

@@ -18,7 +18,7 @@ from satgraph.saturation import (contains_copy, creates_copy,
                                  peel_universal, star_sat_structure)
 from satgraph import bounds, constructions as cons
 
-from conftest import all_labeled_graphs, random_graph
+from conftest import all_labeled_graphs, non_edges, random_graph
 
 
 def test_contains_no_s5_in_octahedron():
@@ -27,7 +27,7 @@ def test_contains_no_s5_in_octahedron():
 
 def test_octahedron_plus_any_edge_has_s5():
     g = cons.fig1()
-    for u, v in g.non_edges():
+    for u, v in non_edges(g):
         assert contains_copy(g.with_edge(u, v), star(5)) is not None
 
 
@@ -168,7 +168,7 @@ def test_anchored_creation_equals_full_search(rng):
             for f in pats:
                 if contains_copy(g, f) is not None:
                     continue  # creation semantics assumes freeness
-                for u, v in g.non_edges():
+                for u, v in non_edges(g):
                     anchored = creates_copy(g, f, u, v)
                     full = contains_copy(g.with_edge(u, v), f) is not None
                     assert anchored == full
@@ -180,7 +180,7 @@ def test_saturation_verdict_revalidated_by_full_search(rng):
                  (cons.kr_graph(4, 9, 3), star(4))]:
         cert = is_saturated(g, f)
         assert cert.is_saturated
-        for u, v in g.non_edges():
+        for u, v in non_edges(g):
             assert contains_copy(g.with_edge(u, v), f) is not None
 
 
@@ -222,7 +222,7 @@ def test_anchored_first_hit_respects_the_added_edge(rng):
             g = random_graph(rng, n, rng.choice([0.25, 0.5, 0.75]))
             for f in pats:
                 pat = f.to_graph()
-                for u, v in g.non_edges():
+                for u, v in non_edges(g):
                     gp = g.with_edge(u, v)
                     for a, b in pat.edges():
                         pin = {a: u, b: v}

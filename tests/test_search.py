@@ -13,7 +13,9 @@ from satgraph.errors import DomainError, NoneExistError
 from satgraph.graph import Graph, decode_graph6
 from satgraph.patterns import (clique, cycle, parse_pattern, path, star,
                                tree_pattern)
-from satgraph.saturation import contains_copy, is_saturated, star_sat_structure
+from satgraph.counting import count_pattern
+from satgraph.saturation import (contains_copy, first_uncreated, is_saturated,
+                                 star_sat_structure)
 from satgraph.search import (SearchConstraints, clear_cache, enumerate_classes,
                              enumerate_graphs, exists_saturated_with,
                              satnum_exact, saturated_classes, tstar_scan)
@@ -116,17 +118,24 @@ def test_satnum_exact_none_exist():
 
 
 def test_prune_soundness_star_degree_cap():
-    """The max-degree prune never changes the reported minimum."""
+    """The max-degree prune never changes the reported minimum: the search
+    agrees with a filter of every n-vertex class by is_saturated."""
     for t in (3, 4):
         for n in range(t + 1, 8):
+            sat = [g for g in enumerate_graphs(n)
+                   if is_saturated(g, star(t)).is_saturated]
             for r in (1, 2):
                 clear_cache()
-                with_prune = satnum_exact(n, star(t), star(r))
-                clear_cache()
-                without = satnum_exact(n, star(t), star(r), auto_prune=False)
-                assert with_prune.minimum == without.minimum, (t, n, r)
-                assert with_prune.witnesses == without.witnesses
-                assert with_prune.saturated_found == without.saturated_found
+                rep = satnum_exact(n, star(t), star(r))
+                values = [count_pattern(g, star(r)) for g in sat]
+                best = min(values)
+                assert rep.minimum == best, (t, n, r)
+                assert rep.saturated_found == len(sat)
+                assert rep.witness_total == len(rep.witnesses)
+                assert sorted(canonical_form(decode_graph6(w))
+                              for w in rep.witnesses) == sorted(
+                    canonical_form(g) for g, value in zip(sat, values)
+                    if value == best)
     clear_cache()
 
 
@@ -519,7 +528,7 @@ def test_row_level_saturation_equals_is_saturated():
         graphs += [_random_free_graph(rng, n, f) for n in range(5, 11)
                    for _ in range(30)]
         for g in graphs:
-            verdict = search._saturated_quick(g.n, g.adj, f)
+            verdict = first_uncreated(g.adj, (f,))[0] is None
             assert verdict == is_saturated(g, f).is_saturated, (f, g.adj)
             verdicts.append(verdict)
     assert verdicts.count(True) > 500 and verdicts.count(False) > 500
