@@ -44,20 +44,25 @@ cell) by the columns of its new singletons only, and prunes by
     immediately tightens the others), and
   * orbits of automorphisms discovered when two leaves tie.
 
-The automorphisms found when a leaf ties with the best one generate all
-of Aut(G) (McKay 1981), and the enumerator relies on it: it tries one
-neighbourhood per orbit of these generators.  Let L be the best leaf,
-the first one reached with the least column string, and A_i the
-automorphisms fixing the first i vertices individualized on the path to
-L, so the last A_i is trivial.  At the i-th node of that path, take a
-child w in the A_i-orbit of the path's next vertex v.  Either w is
-searched: its subtree then holds a least-string leaf, which the search
-reaches (the prefix test never cuts it, and orbit pruning leaves a
-searched equivalent) after L, and the tie gives an automorphism in A_i
-sending w to v.  Or w is skipped because automorphisms found earlier
-that fix the path join it to a searched vertex.  Either way the found
-automorphisms move v over its whole A_i-orbit, so by induction from the
-leaf up they generate A_0 = Aut(G).
+A leaf that ties the best one gives an automorphism gamma onto it, and
+the search jumps back to their deepest common ancestor (McKay 1981;
+McKay and Piperno 2014): gamma fixes the common path and sends this
+side's child of the ancestor to the best side's, whose subtree is
+searched, so the rest of this one holds only images of searched leaves.
+The best leaf L is thus the first least leaf of the tree, as unpruned.
+The automorphisms found generate all of Aut(G), and the enumerator
+relies on it: it tries one neighbourhood per orbit of these generators.
+Let A_i fix the first i vertices individualized on the path to L, so the
+last A_i is trivial.  At the i-th node of that path, take a child w in
+the A_i-orbit of the path's next vertex v.  Either w is searched: its
+subtree, the image of v's, holds a least-string leaf, so it comes after
+v's, and the first leaf there to tie L gives an automorphism in A_i
+sending w to v and jumps back to that node.  Or w is skipped because
+automorphisms found earlier that fix the path join it to a searched
+vertex.  Either way the found automorphisms move v over its whole
+A_i-orbit, so by induction from the leaf up they generate A_0 = Aut(G).
+None repeats: each joins two children of its ancestor that no earlier
+one fixing the path joined, as it ends the later child's subtree.
 """
 
 from __future__ import annotations
@@ -74,10 +79,13 @@ def _refine(adj: AdjRows, cells: list[int], queue: Iterable[int]) -> list[int]:
     """Equitable refinement (1-dim WL with cell splitting).
 
     ``cells``, vertex masks, partitions the vertices of ``adj``.
-    ``queue`` holds the splitter masks that may split a cell; every new
-    cell is enqueued too, so the fixpoint is equitable.  Refinement stops
-    once the partition is discrete, as no splitter left in the queue could
-    split it.  Split parts are ordered by increasing neighbor count.
+    ``queue`` holds the splitter masks that may split a cell: one left out
+    would split nothing once they are processed.  A split queues its parts
+    but the last: by FIFO order it would be popped after its parent cell
+    (or that was left out) and its siblings, and split nothing.  Skipping
+    the largest part instead (Hopcroft) would reorder the cells.  Refining
+    stops at a discrete partition, which no splitter can split.  Split
+    parts are ordered by increasing neighbor count.
     """
     n, m = len(adj), len(cells)
     queue = deque(queue)
@@ -107,7 +115,7 @@ def _refine(adj: AdjRows, cells: list[int], queue: Iterable[int]) -> list[int]:
                     continue
                 parts = [groups[c] for c in sorted(groups)]
             cells[i - 1:i] = parts
-            queue += parts
+            queue += parts[:-1]
             i += len(parts) - 1
             m += len(parts) - 1
     return cells
@@ -163,13 +171,14 @@ def automorphisms_from(adj: AdjRows, cells: list[int], a: int):
 
 def equitable_partition(n: int, adj: AdjRows) -> list[int]:
     """The coarsest equitable ordered partition refining the degree cells,
-    ordered as ``canonical_raw`` orders its initial cells, as masks."""
+    ordered as ``canonical_raw`` orders its initial cells, as masks.  The
+    last degree cell is not queued: degrees fix each vertex's count in it."""
     groups: dict[int, int] = {}
     for v in range(n):
         d = adj[v].bit_count()
         groups[d] = groups.get(d, 0) | 1 << v
     cells = [groups[d] for d in sorted(groups)]
-    return _refine(adj, cells, cells)
+    return _refine(adj, cells, cells[:-1])
 
 
 class _Canonizer:
@@ -178,8 +187,8 @@ class _Canonizer:
         self.adj = adj
         self.best_cols: list[int] | None = None
         self.best_lab: list[int] | None = None
+        self.best_path: list[int] = []
         self.auts: list[tuple[int, ...]] = []
-        self._aut_seen: set[tuple[int, ...]] = set()
         # placed vertex -> prefix position; shared down the tree because a
         # node writes only the entries of its own new singletons
         self._pos = [0] * n
@@ -196,8 +205,9 @@ class _Canonizer:
     # -- internals ---------------------------------------------------------
 
     def _search(self, cells: list[int], path: list[int], cols: list[int],
-                placed: int):
-        """Extend the parent's prefix ``cols`` (its singletons ``placed``)."""
+                placed: int) -> int | None:
+        """Extend the parent's prefix ``cols`` (its singletons ``placed``);
+        after a tie, returns the depth of the node to go on at."""
         adj, pos = self.adj, self._pos
         cols = cols[:]
         k = len(cols)
@@ -221,14 +231,13 @@ class _Canonizer:
         if k == len(cells):
             lab = [cell.bit_length() - 1 for cell in cells]
             if best is None or cols < best:
-                self.best_cols, self.best_lab = cols, lab
-            elif cols == best and lab != self.best_lab:
+                self.best_cols, self.best_lab, self.best_path = cols, lab, path
+            elif cols == best:
                 # sigma[v] = best_lab[pos[v]]; a list, unlike a generator,
                 # gives the tuple its exact size and keeps peak memory down
-                sig = tuple([self.best_lab[p] for p in pos])
-                if sig not in self._aut_seen:
-                    self._aut_seen.add(sig)
-                    self.auts.append(sig)
+                self.auts.append(tuple([self.best_lab[p] for p in pos]))
+                return next(i for i, (u, w) in
+                            enumerate(zip(path, self.best_path)) if u != w)
             return
 
         # seen: the orbits of the vertices tried under the automorphisms
@@ -244,8 +253,10 @@ class _Canonizer:
             if seen >> v & 1:
                 continue
             seen = _close(seen | 1 << v, 1 << v, gens)
-            self._search(_individualize(adj, cells, k, v), path + [v], cols,
-                         placed)
+            back = self._search(_individualize(adj, cells, k, v),
+                                path + [v], cols, placed)
+            if back is not None and back < len(path):
+                return back
 
 
 def canonical_raw(n: int, adj: AdjRows, *, cells: list[int] | None = None):

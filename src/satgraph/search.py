@@ -307,7 +307,7 @@ def _minimizers(adjP, dmasks, k: int, nmask: int) -> int | None:
 
 
 def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden,
-               final: bool = True, memo: dict | None = None):
+               final: bool, memo: dict):
     """Parent test for the child C = P + new vertex k with neighborhood
     nmask, a mask that already gives k minimum degree in C.
 
@@ -319,7 +319,6 @@ def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden,
     partition and canonical_raw triple, each None where the decision did
     without it; moved says w* lies outside k's orbit, so C may duplicate
     another child of P."""
-    memo = {} if memo is None else memo
     if "dmasks" not in memo:
         memo["dmasks"] = _degree_masks(degP)
     tied = _minimizers(adjP, memo["dmasks"], k, nmask)

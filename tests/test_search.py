@@ -331,11 +331,12 @@ def _final_level_against_reference(n, constraints):
     expected, duplicates = [], 0
     for adjP, codeP, gens in level:
         degP = [a.bit_count() for a in adjP]
-        seen = set()
+        seen, memo = set(), {}
         for mask in search._candidates(adjP, degP, gens, kcap, clique):
             accepted, ambiguous, code = _reference_parent_test(
                 adjP, codeP, k, mask)
-            child = search._try_child(adjP, codeP, degP, k, mask, forbidden)
+            child = search._try_child(adjP, codeP, degP, k, mask, forbidden,
+                                      True, memo)
             assert (child is not None) == accepted, (adjP, mask)
             if not accepted:
                 continue
