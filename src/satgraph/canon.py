@@ -32,7 +32,8 @@ automorphisms_from runs one path of the same search on two copies of
 a partition, individualizing a on one and b on the other, and returns
 the bijection it reads off only after an edge-by-edge check: an accepted
 pair is always in one orbit, a refusal proves nothing.  The enumerator
-uses it to settle a tied minimizer cell with no canonical form.
+uses it to settle a tied minimizer cell with no canonical form, and
+below the final order keeps what it returns as a child's generators.
 Comparing the cell sizes of the two sides step by step would only reject
 earlier: when the bijection is an automorphism, it maps each partition
 of a's side onto the one of b's side at the same step.

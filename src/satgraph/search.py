@@ -18,10 +18,10 @@ through k.
 Masks run in descending submask order, and only the first mask of each
 Aut(P)-orbit is tried.  Masks of one orbit give isomorphic pairs (C, k),
 so they pass or fail together and the first accepted mask still gives
-its class the representative.  The orbits come from the automorphism
-generators canonical_raw returns with P's code.  These generate all of
-Aut(P) (see canon), and they must: an orbit split between two orbits of
-a smaller group would give its class twice.
+its class the representative.  The orbits come from generators of
+Aut(P), canonical_raw's or ones taken from P's parent (below).  They
+must generate all of Aut(P): an orbit split between two orbits of a
+smaller group would give its class twice.
 
 The parent test rejects C when k is not an invariant minimizer.  Both
 invariant layers are decided before C's rows are built, on P's vertices
@@ -42,19 +42,18 @@ canonical code, decided as cheaply as possible:
     computed.  The invariant is constant on its cells and canonical_raw
     keeps every vertex inside its initial cell (see canon), so w* lies
     in the last cell L of minimizers.  If k is in L and every u in L is
-    a twin of k or, at the final order, the image of k under an
-    automorphism that canon found from k's leaf, computed once per
-    child, and checked edge by edge, L is inside k's orbit.  A candidate
-    that fails proves nothing, so it falls back to the canonical form,
-    never to a rejection; below the final order C's form follows
-    acceptance anyway, so none is tried.  If L is one vertex w other
-    than k, w is w* and only the deletion check C - w is needed; else w*
-    is the vertex of L that C's canonical form places last;
+    a twin of k or the image of k under an automorphism that canon
+    found from k's leaf, computed once per child, and checked edge by
+    edge, L is k's orbit.  A candidate that fails proves nothing, so it
+    falls back to the canonical form, never to a rejection.  If L is
+    one vertex w other than k, w is w* and only the deletion check
+    C - w is needed; else w* is the vertex of L that C's form places last;
   * a deletion check compares the sorted (degree, neighbour count per
     degree class) vectors of C - w*, read off C's rows with w* masked
     out, with P's, computed once per parent; they are equal exactly when
     the (degree, sorted neighbour degrees) pairs are, and only equal
-    ones, an isomorphism invariant, need the code of C - w*'s rows.
+    ones, an isomorphism invariant, need the codes of C - w*'s rows and
+    of P, which is computed at the first such check of P's children.
 Two accepted children of one parent with w* in k's orbit are never
 isomorphic, by the argument for a unique minimizer.  Only a child
 accepted with w* outside k's orbit (a pseudo-similar deletion) can
@@ -63,13 +62,23 @@ ambiguous children deduplicated, by canonical code in mask order,
 keeping the first: the representative a deduplication of every
 ambiguous child would keep.
 
+Below the final order C needs generators of Aut(C).  The automorphisms
+fixing k, Aut(C)_k, are those of Aut(P) that fix S, extended by k -> k:
+all of Aut(P) when each of P's generators fixes S.  Aut(C) is then
+generated by P's generators fixing k and, per Aut(P)-orbit of u in k's
+orbit less k, one mu_u sending k to u: if sigma(k) = u = alpha(u') with
+alpha in Aut(C)_k, then mu_u'^-1 alpha^-1 sigma fixes k.  The cases
+above give k's orbit: a unique minimizer (no mu), twins (mu_u = (u k))
+and a settled L (mu_u that transposition or canon's automorphism, needed
+for one u per Aut(P)-orbit only).  Any other C takes canonical_raw's.
+
 Canonical forms are computed only where needed: for ambiguous children
 nothing above settles, for deletion checks the profile does not reject,
-for deduplication, for every child accepted below the final order (its
-code and generators serve the next level), and for the saturated
-graphs, whose codes order the reports.  saturated_classes decides
-saturation on the rows with saturation's row kernel, first_uncreated,
-and builds a Graph only for the classes it returns.
+for deduplication, for children below the final order whose generators
+do not follow from P's, and for the saturated graphs, whose codes order
+the reports (a level entry's code is None where none was computed).
+saturated_classes decides saturation on the rows with first_uncreated,
+saturation's row kernel, and builds a Graph only for the classes it returns.
 
 Constraints enforced during generation must be hereditary and
 label-invariant: degree caps and monotone forbidden subgraphs qualify
@@ -164,7 +173,7 @@ def _grow_level(parents, k: int, max_degree, clique, forbidden, final: bool):
 
     parents: list of (adj_tuple, code, generators of Aut(P)); returns the
     same shape, or on the final level (adj_tuple, code) pairs sorted by
-    adj, with code None where acceptance needed no canonical form.
+    adj; code is None where acceptance needed no canonical form.
     clique is the order of the smallest forbidden clique or None;
     forbidden holds the patterns left to embed.
     """
@@ -176,9 +185,10 @@ def _grow_level(parents, k: int, max_degree, clique, forbidden, final: bool):
         kids = []
         moved = False  # some child was accepted with w* outside k's orbit
         memo: dict = {}
+        ext = None if final else [g + (k,) for g in gens]  # k -> k
         for subset in _candidates(adjP, degP, gens, cap, clique):
             child = _try_child(adjP, codeP, degP, k, subset, forbidden,
-                               final, memo)
+                               ext, memo)
             if child is not None:
                 kids.append(child)
                 moved |= child[4]
@@ -225,7 +235,8 @@ def _first_of_each_class(n: int, kids):
     kept = []
     for adj, ambiguous, cells, canon, moved in kids:
         if ambiguous:
-            canon = canon or canonical_raw(n, adj, cells=cells)
+            if canon is None or canon[0] is None:
+                canon = canonical_raw(n, adj, cells=cells)
             if canon[0] in seen:
                 continue
             seen.add(canon[0])
@@ -306,17 +317,17 @@ def _minimizers(adjP, dmasks, k: int, nmask: int) -> int | None:
     return tied
 
 
-def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden,
-               final: bool, memo: dict):
+def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden, gens,
+               memo: dict):
     """Parent test for the child C = P + new vertex k with neighborhood
     nmask, a mask that already gives k minimum degree in C.
 
-    final says C has the search's full order, so no canonical form of C
-    follows acceptance; memo caches, across P's children, P's vertices by
-    degree and P's profile.  Returns None for a rejected child, else
-    (adj, ambiguous, cells, canon, moved): ambiguous says k ties with
-    another invariant minimizer; cells and canon are C's equitable
-    partition and canonical_raw triple, each None where the decision did
+    gens: Aut(P)'s generators extended by k -> k, or None at the final
+    order; memo caches P's vertices by degree, profile and code.
+    Returns None for a rejected child, else (adj, ambiguous, cells, canon,
+    moved): ambiguous says k ties with another invariant minimizer; cells
+    and canon are C's equitable partition and canonical_raw triple, or
+    (None, None, Aut(C)'s generators), each None where the decision did
     without it; moved says w* lies outside k's orbit, so C may duplicate
     another child of P."""
     if "dmasks" not in memo:
@@ -330,25 +341,43 @@ def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden,
     adj_child = tuple(rows) + (nmask,)
     if forbidden and _child_violates(adj_child, k, forbidden):
         return None
-    if not tied:
-        return adj_child, False, None, None, False
+    if gens and len(orbit(nmask, gens)) > 1:
+        gens = None  # Aut(C)_k is smaller than Aut(P)
     n = k + 1
     notk = ~(1 << k)
 
     def twin(u: int) -> bool:  # the transposition (u k) is in Aut(C)
         return adj_child[u] & notk == nmask & ~(1 << u)
 
+    def grown(others: int, send=None):
+        """(None, None, Aut(C)'s generators) if k's orbit is others + k,
+        with mu_u a twin transposition or send(u); None if one fails."""
+        if gens is None:
+            return None
+        auts, seen = list(gens), 0
+        for u in bits(others):
+            if not seen >> u & 1:
+                seen |= sum(orbit(1 << u, gens))  # distinct vertex bits
+                auts.append(send(u) if send and not twin(u) else tuple(
+                    k if x == u else u if x == k else x for x in range(n)))
+                if auts[-1] is None:
+                    return None
+        return None, None, auts
+
+    if not tied:
+        return adj_child, False, None, grown(0), False
     if all(map(twin, bits(tied))):  # w* is in k's orbit
-        return adj_child, True, None, None, False
+        return adj_child, True, None, grown(tied), False
     cells = equitable_partition(n, adj_child)
     # the minimizers are a union of cells, and w* is in the last of them
     tied |= 1 << k
     last = next(c for c in reversed(cells) if tied & c)
     if last >> k & 1:
         rest = [u for u in bits(last ^ 1 << k) if not twin(u)]
-        send = final and rest and automorphisms_from(adj_child, cells, k)
-        if not rest or send and all(send(u) is not None for u in rest):
-            return adj_child, True, cells, None, False  # L is in k's orbit
+        send = rest and automorphisms_from(adj_child, cells, k)
+        canon = grown(last ^ 1 << k, send)
+        if canon or gens is None and all(send(u) is not None for u in rest):
+            return adj_child, True, cells, canon, False  # L is k's orbit
     if last & (last - 1) == 0:  # w* is the one vertex of the cell, not k
         wstar, canon = last.bit_length() - 1, None
     else:
@@ -358,8 +387,11 @@ def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden,
         return adj_child, True, cells, canon, False
     if "profile" not in memo:  # P's, at its first child's deletion check
         memo["profile"] = _profile(adjP)
-    if _profile(adj_child, wstar) != memo["profile"] or canonical_raw(
-            k, _delete(adj_child, wstar))[0] != codeP:
+    if _profile(adj_child, wstar) != memo["profile"]:
+        return None
+    if "code" not in memo:  # P's, at its first profile that matches
+        memo["code"] = codeP or canonical_raw(k, adjP)[0]
+    if canonical_raw(k, _delete(adj_child, wstar))[0] != memo["code"]:
         return None
     # a lone w* is in a cell without k, so outside k's orbit
     moved = canon is None or (1 << wstar) not in orbit(1 << k, canon[2])

@@ -38,6 +38,43 @@ def naive_count_copies(host: Graph, pattern: Graph) -> int:
     return total // naive_automorphisms(pattern)
 
 
+def group_order(n, gens):
+    """Order of the permutation group that gens generate, closed by BFS."""
+    identity = tuple(range(n))
+    group = {identity}
+    todo = [identity]
+    while todo:
+        g = todo.pop()
+        for s in gens:
+            h = tuple(s[x] for x in g)
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    return len(group)
+
+
+def automorphism_count(g):
+    """|Aut(g)| by backtracking: each vertex goes to an unused vertex of
+    the same degree whose edges to the earlier images match."""
+    deg = g.degrees()
+    image = [0] * g.n
+
+    def extend(v, used):
+        if v == g.n:
+            return 1
+        total = 0
+        for w in range(g.n):
+            if used >> w & 1 or deg[w] != deg[v]:
+                continue
+            if all((g.adj[v] >> u & 1) == (g.adj[w] >> image[u] & 1)
+                   for u in range(v)):
+                image[v] = w
+                total += extend(v + 1, used | 1 << w)
+        return total
+
+    return extend(0, 0)
+
+
 def brute_canonical(g: Graph) -> tuple:
     """Minimum adjacency tuple over every permutation (n <= 7 only)."""
     best = None

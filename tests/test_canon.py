@@ -14,8 +14,9 @@ from satgraph.graph import (Graph, bits, build_graph, complete_graph,
 from satgraph.search import enumerate_graphs
 from satgraph import constructions as cons
 
-from conftest import (all_labeled_graphs, brute_canonical,
-                      naive_automorphisms, random_graph, random_regular)
+from conftest import (all_labeled_graphs, automorphism_count,
+                      brute_canonical, group_order, naive_automorphisms,
+                      random_graph, random_regular)
 
 
 def test_codes_match_brute_force_partition_n4():
@@ -193,48 +194,11 @@ def test_generators_are_few_distinct_automorphisms():
         assert len(canonical_raw(g.n, g.adj)[2]) == count
 
 
-def _group_order(n, gens):
-    """Order of the permutation group that gens generate, closed by BFS."""
-    identity = tuple(range(n))
-    group = {identity}
-    todo = [identity]
-    while todo:
-        g = todo.pop()
-        for s in gens:
-            h = tuple(s[x] for x in g)
-            if h not in group:
-                group.add(h)
-                todo.append(h)
-    return len(group)
-
-
-def _automorphism_count(g):
-    """|Aut(g)| by backtracking: each vertex goes to an unused vertex of
-    the same degree whose edges to the earlier images match."""
-    deg = g.degrees()
-    image = [0] * g.n
-
-    def extend(v, used):
-        if v == g.n:
-            return 1
-        total = 0
-        for w in range(g.n):
-            if used >> w & 1 or deg[w] != deg[v]:
-                continue
-            if all((g.adj[v] >> u & 1) == (g.adj[w] >> image[u] & 1)
-                   for u in range(v)):
-                image[v] = w
-                total += extend(v + 1, used | 1 << w)
-        return total
-
-    return extend(0, 0)
-
-
 def _assert_generators_complete(g, order):
     _, _, gens = canonical_raw(g.n, g.adj)
     for s in gens:
         assert g.relabel(list(s)).adj == g.adj  # each one is an automorphism
-    assert _group_order(g.n, gens) == order
+    assert group_order(g.n, gens) == order
 
 
 def test_automorphism_generators_generate_the_group(rng):
@@ -251,7 +215,7 @@ def test_automorphism_generators_generate_the_group(rng):
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
             for _ in range(4):
                 g = random_graph(rng, n, p)
-                order = _automorphism_count(g)
+                order = automorphism_count(g)
                 for h in (g, g.relabel(rng.sample(range(n), n))):
                     _assert_generators_complete(h, order)
 

@@ -100,8 +100,8 @@ def test_satnum_exact_matches_networkx_atlas():
     saturated, and the search reports none-exist, as it does where no
     saturated graph meets the constraint."""
     atlas = nx.graph_atlas_g()
-    forbids = ["K3", "K4", "S3", "S4", "P4", "C4"]
-    counts = [parse_pattern(s) for s in ("S1", "S2", "K3")]
+    forbids = ["K3", "K4", "S3", "S4", "P4", "C4", "P5", "C5"]
+    counts = [parse_pattern(s) for s in ("S1", "S2", "K3", "P3")]
     count_graphs = [nx.Graph(list(c.to_graph().edges())) for c in counts]
     cases = [("free", SearchConstraints(), lambda h: True)]
     cases += [(f"max_degree={cap}", SearchConstraints(max_degree=cap),
@@ -145,13 +145,13 @@ def test_satnum_exact_matches_networkx_atlas():
                         wg = nx.from_graph6_bytes(w.encode())
                         assert any(nx.is_isomorphic(wg, h) for h in minimizers)
                     seen[label, "agree"] += 1
-    assert seen == {("free", "agree"): 69, ("free", "none-exist"): 1,
-                    ("max_degree=2", "agree"): 33,
-                    ("max_degree=2", "none-exist"): 13,
-                    ("max_degree=3", "agree"): 60,
-                    ("max_degree=3", "none-exist"): 4,
-                    ("connected", "agree"): 69,
-                    ("connected", "none-exist"): 1}
+    assert seen == {("free", "agree"): 116, ("free", "none-exist"): 3,
+                    ("max_degree=2", "agree"): 52,
+                    ("max_degree=2", "none-exist"): 19,
+                    ("max_degree=3", "agree"): 100,
+                    ("max_degree=3", "none-exist"): 7,
+                    ("connected", "agree"): 116,
+                    ("connected", "none-exist"): 3}
 
 
 def test_enumerate_classes_counts_match_networkx_atlas():

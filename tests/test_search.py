@@ -21,8 +21,8 @@ from satgraph.search import (SearchConstraints, clear_cache, enumerate_classes,
                              satnum_exact, saturated_classes, tstar_scan)
 from satgraph import constructions as cons
 
-from conftest import (burnside_class_count, labeled_class_count, random_graph,
-                      random_regular)
+from conftest import (automorphism_count, burnside_class_count, group_order,
+                      labeled_class_count, random_graph, random_regular)
 
 
 def test_class_counts_brute_force_n_le_5():
@@ -158,6 +158,20 @@ def test_clique_minimum_small_scale_agreement():
     rep = satnum_exact(9, clique(4), clique(2))
     from satgraph.bounds import cl_value
     assert rep.minimum == cl_value(9, 2, 4) == 15
+
+
+def test_clique_minimum_equals_chakraborti_loh():
+    """The least K_r count over K_t-saturated graphs on n vertices, by
+    search, equals Chakraborti and Loh's cl_value at every point tried:
+    t = 4 with r = 2, 3 on n = 4..8 and t = 5 with r = 2..4 on n = 5..8."""
+    from satgraph.bounds import cl_value
+    points = [(n, r, t) for t, rs in ((4, (2, 3)), (5, (2, 3, 4)))
+              for r in rs for n in range(t, 9)]
+    assert len(points) == 22
+    for n, r, t in points:
+        rep = satnum_exact(n, clique(t), clique(r))
+        assert rep.minimum == cl_value(n, r, t), (n, r, t)
+    clear_cache()
 
 
 def test_exists_saturated_with_k3_free():
@@ -332,11 +346,12 @@ def _final_level_against_reference(n, constraints):
     for adjP, codeP, gens in level:
         degP = [a.bit_count() for a in adjP]
         seen, memo = set(), {}
+        fullP = codeP or canonical_raw(k, adjP)[0]
         for mask in search._candidates(adjP, degP, gens, kcap, clique):
             accepted, ambiguous, code = _reference_parent_test(
-                adjP, codeP, k, mask)
+                adjP, fullP, k, mask)
             child = search._try_child(adjP, codeP, degP, k, mask, forbidden,
-                                      True, memo)
+                                      None, memo)
             assert (child is not None) == accepted, (adjP, mask)
             if not accepted:
                 continue
@@ -372,6 +387,35 @@ def test_parent_test_decisions_match_reference_wider():
     assert _final_level_against_reference(8, SearchConstraints()) > 0
     _final_level_against_reference(
         9, SearchConstraints(forbidden=(clique(3),)))
+
+
+def _assert_level_groups(n, constraints):
+    """Every level entry below the final order, on 2..n vertices, carries
+    a code that is None or its canonical code, and at most n - 1 distinct
+    automorphisms that generate its whole automorphism group."""
+    cap, clique, forbidden = search._effective(n, constraints)
+    level = search._base_level(False)
+    for k in range(1, n):
+        level = search._grow_level(level, k, cap, clique, forbidden, False)
+        for adj, code, gens in level:
+            g = Graph(k + 1, adj)
+            assert code is None or code == canonical_raw(k + 1, adj)[0]
+            for s in gens:
+                assert g.relabel(list(s)).adj == adj, (adj, s)
+            assert len(set(gens)) == len(gens) <= k, (adj, gens)
+            assert group_order(k + 1, gens) == automorphism_count(g), adj
+
+
+def test_level_generators_generate_the_group():
+    """The generators a child takes from its parent's group, or from its
+    canonical form, generate the child's automorphism group: all graphs
+    on up to 7 vertices and K4-free, S4-free and degree-capped ones on up
+    to 8."""
+    _assert_level_groups(7, SearchConstraints())
+    for constraints in (SearchConstraints(forbidden=(clique(4),)),
+                        SearchConstraints(forbidden=(star(4),)),
+                        SearchConstraints(max_degree=3)):
+        _assert_level_groups(8, constraints)
 
 
 # SHA-256 of the adjacency rows enumerate_classes(9) returns, in order;
