@@ -16,6 +16,10 @@ branch whose common neighbourhood holds no open target.  Only the
 targets still open are tried for other patterns, by embeddings that pin
 one pattern arc of each Aut(F)-orbit of arcs onto (u, v) (copy_through).
 Equivalence with a full search is property-tested.
+saturation_verdict gives the verdict alone, splitting the family once:
+rows from the last vertex down, each against the vertices below (any
+order gives the same for-all), as a search's last vertex has minimum
+degree and its missing edges mostly settle it.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ def creates_copy(g: Graph, f: PatternSpec, u: int, v: int) -> bool:
 
     Assumes g is f-free, so any new copy must pass through uv.
     """
-    return _row_kernel(g.adj, [f])(u, 1 << v) is None
+    return _row_kernel(g.adj, *split_family([f]))(u, 1 << v) is None
 
 
 def first_uncreated(adj, fs):
@@ -97,7 +101,7 @@ def first_uncreated(adj, fs):
     and the number of missing edges up to it; (None, the number of
     missing edges) when each creates some member."""
     n = len(adj)
-    first = _row_kernel(adj, fs)
+    first = _row_kernel(adj, *split_family(fs))
     checked = 0
     for u in range(n):
         row = ~adj[u] & (1 << n) - (2 << u)
@@ -108,21 +112,44 @@ def first_uncreated(adj, fs):
     return None, checked
 
 
-def _row_kernel(adj, fs):
-    """For the graph on the rows adj, free of every member of fs, the
-    function (u, targets) -> the least v in the mask targets of
-    non-neighbours of u such that adding uv creates no member, or None."""
-    # a non-edge creating K_t or S_r creates every smaller clique or star,
-    # so the smallest of each decides for all of them
-    t = r = None
-    others = []
-    for f in fs:
-        if f.kind == "clique":
-            t = f.size if t is None else min(t, f.size)
-        elif f.kind == "star":
-            r = f.size if r is None else min(r, f.size)
-        else:
-            others.append(f)
+def split_family(fs):
+    """The family fs as (t, r, others): the order of its smallest clique
+    and star (None without one) and its other members."""
+    # a graph free of K_t or S_r is free of every larger clique or star,
+    # and a non-edge creating one creates every smaller one, so the
+    # smallest of each decides both for all of them
+    t = min((f.size for f in fs if f.kind == "clique"), default=None)
+    r = min((f.size for f in fs if f.kind == "star"), default=None)
+    return t, r, [f for f in fs if f.kind not in ("clique", "star")]
+
+
+def saturation_verdict(fs):
+    """The function adj -> whether the graph on the rows adj, free of
+    every member of fs, is saturated; cliques and stars need no closure."""
+    t, r, others = split_family(fs)
+
+    def saturated(adj) -> bool:
+        n = len(adj)
+        if others:
+            first = _row_kernel(adj, t, r, others)
+            return all(first(u, ~adj[u] & (1 << u) - 1) is None
+                       for u in range(n - 1, 0, -1))
+        low = -1 if r is None else sum(
+            1 << w for w, a in enumerate(adj) if a.bit_count() < r - 1)
+        for u in range(n - 1, 0, -1):
+            row = ~adj[u] & low & (1 << u) - 1
+            if row and low >> u & 1 and (
+                    t is None or _uncovered(adj, adj[u], row, t - 2)):
+                return False
+        return True
+
+    return saturated
+
+
+def _row_kernel(adj, t, r, others):
+    """For the graph on the rows adj, free of the family split_family gave as
+    (t, r, others), the function (u, targets) -> the least v in the mask
+    targets of non-neighbours of u whose edge uv creates no member, or None."""
     n = len(adj)
     low = (1 << n) - 1
     if r is not None or others:

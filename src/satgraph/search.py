@@ -47,7 +47,8 @@ canonical code, decided as cheaply as possible:
     edge, L is k's orbit.  A candidate that fails proves nothing, so it
     falls back to the canonical form, never to a rejection.  If L is
     one vertex w other than k, w is w* and only the deletion check
-    C - w is needed; else w* is the vertex of L that C's form places last;
+    C - w is needed; else w* is the vertex of L that C's form places last,
+    and w* in k's orbit under the form's generators needs no check;
   * a deletion check compares the sorted (degree, neighbour count per
     degree class) vectors of C - w*, read off C's rows with w* masked
     out, with P's, computed once per parent; they are equal exactly when
@@ -70,15 +71,16 @@ orbit less k, one mu_u sending k to u: if sigma(k) = u = alpha(u') with
 alpha in Aut(C)_k, then mu_u'^-1 alpha^-1 sigma fixes k.  The cases
 above give k's orbit: a unique minimizer (no mu), twins (mu_u = (u k))
 and a settled L (mu_u that transposition or canon's automorphism, needed
-for one u per Aut(P)-orbit only).  Any other C takes canonical_raw's.
+for one u per Aut(P)-orbit only).  Any other C takes canonical_raw's,
+with no automorphism searched where a generator of P moves S.
 
 Canonical forms are computed only where needed: for ambiguous children
 nothing above settles, for deletion checks the profile does not reject,
 for deduplication, for children below the final order whose generators
 do not follow from P's, and for the saturated graphs, whose codes order
 the reports (a level entry's code is None where none was computed).
-saturated_classes decides saturation on the rows with first_uncreated,
-saturation's row kernel, and builds a Graph only for the classes it returns.
+saturated_classes decides saturation on the rows (saturation_verdict)
+and builds a Graph only for the classes it returns.
 
 Constraints enforced during generation must be hereditary and
 label-invariant: degree caps and monotone forbidden subgraphs qualify
@@ -116,7 +118,7 @@ from .graph import Graph, bits, encode_graph6
 from .patterns import PatternSpec, is_connected
 # perfbench/tracing.py wraps contains_copy and creates_copy here; keep them
 from .saturation import (contains_copy, copy_through, creates_copy,  # noqa: F401
-                         first_uncreated)
+                         saturation_verdict, split_family)
 
 HARD_CAP = 10
 CHUNKS = 8  # per worker: a level this wide is split, into this many chunks
@@ -341,8 +343,9 @@ def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden, gens,
     adj_child = tuple(rows) + (nmask,)
     if forbidden and _child_violates(adj_child, k, forbidden):
         return None
-    if gens and len(orbit(nmask, gens)) > 1:
-        gens = None  # Aut(C)_k is smaller than Aut(P)
+    moves = gens and len(orbit(nmask, gens)) > 1
+    if moves:
+        gens = None  # Aut(C)_k is smaller than Aut(P): a form gives Aut(C)
     n = k + 1
     notk = ~(1 << k)
 
@@ -372,7 +375,7 @@ def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden, gens,
     # the minimizers are a union of cells, and w* is in the last of them
     tied |= 1 << k
     last = next(c for c in reversed(cells) if tied & c)
-    if last >> k & 1:
+    if last >> k & 1 and not moves:
         rest = [u for u in bits(last ^ 1 << k) if not twin(u)]
         send = rest and automorphisms_from(adj_child, cells, k)
         canon = grown(last ^ 1 << k, send)
@@ -383,7 +386,7 @@ def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden, gens,
     else:
         canon = canonical_raw(n, adj_child, cells=cells)
         wstar = next(v for v in reversed(canon[1]) if last >> v & 1)
-    if wstar == k:
+    if wstar == k or canon and (1 << wstar) in orbit(1 << k, canon[2]):
         return adj_child, True, cells, canon, False
     if "profile" not in memo:  # P's, at its first child's deletion check
         memo["profile"] = _profile(adjP)
@@ -393,9 +396,7 @@ def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden, gens,
         memo["code"] = codeP or canonical_raw(k, adjP)[0]
     if canonical_raw(k, _delete(adj_child, wstar))[0] != memo["code"]:
         return None
-    # a lone w* is in a cell without k, so outside k's orbit
-    moved = canon is None or (1 << wstar) not in orbit(1 << k, canon[2])
-    return adj_child, True, cells, canon, moved
+    return adj_child, True, cells, canon, True  # w* outside k's orbit
 
 
 def _base_level(final: bool):
@@ -410,16 +411,13 @@ def _effective(n: int, constraints: SearchConstraints):
     max_degree = constraints.max_degree
     if max_degree is not None and not 0 <= max_degree < n:
         raise DomainError(f"max_degree cap must be in 0..{n - 1}")
-    forbidden = constraints.forbidden
-    caps = [f.size - 1 for f in forbidden if f.kind == "star"]
+    clique, star, rest = split_family(constraints.forbidden)
+    caps = [] if star is None else [star - 1]
     if max_degree is not None:
         caps.append(max_degree)
     cap = min(caps, default=None)
     if cap is not None and cap >= n - 1:
         cap = None
-    clique = min((f.size for f in forbidden if f.kind == "clique"),
-                 default=None)
-    rest = tuple(f for f in forbidden if f.kind not in ("star", "clique"))
     return cap, clique, rest
 
 
@@ -493,9 +491,10 @@ def saturated_classes(n: int, f: PatternSpec,
             f"(pattern needs {f.order} vertices; only the complete graph "
             f"is vacuously saturated below that)")
     classes = enumerate_classes(n, constraints.with_forbidden(f), workers)
+    saturated = saturation_verdict((f,))
     sat = []
     for adj, code in classes:
-        if first_uncreated(adj, (f,))[0] is None:  # every non-edge creates f
+        if saturated(adj):  # every non-edge creates f
             if code is None:
                 code = canonical_raw(n, adj)[0]
             sat.append((Graph(n, adj), code))

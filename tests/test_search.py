@@ -15,7 +15,7 @@ from satgraph.patterns import (clique, cycle, parse_pattern, path, star,
                                tree_pattern)
 from satgraph.counting import count_pattern
 from satgraph.saturation import (contains_copy, first_uncreated, is_saturated,
-                                 star_sat_structure)
+                                 saturation_verdict, star_sat_structure)
 from satgraph.search import (SearchConstraints, clear_cache, enumerate_classes,
                              enumerate_graphs, exists_saturated_with,
                              satnum_exact, saturated_classes, tstar_scan)
@@ -548,23 +548,24 @@ def test_minimizers_on_degree_masks_equal_list_based_layers():
     assert outcomes == {None, False, True}
 
 
-def _random_free_graph(rng, n, f):
-    """Edges added in a random order while the graph stays f-free, stopping
-    after a random number of tries: some are saturated, most not."""
+def _random_free_graph(rng, n, *fs):
+    """Edges added in a random order while the graph stays free of every
+    member of fs, stopping after a random number of tries: some are
+    saturated, most not."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     g = Graph(n, [0] * n)
     for u, v in pairs[:rng.randint(0, len(pairs))]:
         h = g.with_edge(u, v)
-        if contains_copy(h, f) is None:
+        if all(contains_copy(h, f) is None for f in fs):
             g = h
     return g
 
 
 def test_row_level_saturation_equals_is_saturated():
-    """The saturation verdict saturated_classes reads off the rows equals
-    is_saturated's for K2..K5 and S1..S4: every f-free class on at most 7
-    vertices, and seeded random f-free graphs on 5..10 vertices."""
+    """first_uncreated's verdict on the rows equals is_saturated's for
+    K2..K5 and S1..S4: every f-free class on at most 7 vertices, and
+    seeded random f-free graphs on 5..10 vertices."""
     rng = random.Random(20261018)
     verdicts = []
     for f in [clique(t) for t in range(2, 6)] + [star(r) for r in range(1, 5)]:
@@ -577,6 +578,102 @@ def test_row_level_saturation_equals_is_saturated():
             assert verdict == is_saturated(g, f).is_saturated, (f, g.adj)
             verdicts.append(verdict)
     assert verdicts.count(True) > 500 and verdicts.count(False) > 500
+
+
+def test_saturation_verdict_equals_first_uncreated():
+    """saturation_verdict, which walks the rows from the last vertex down,
+    equals first_uncreated's verdict for K2..K5, S1..S4, P4, C4, the
+    spider and the family (K3, S3): every class free of the family on at
+    most 7 vertices, and seeded random free graphs on 5..10 vertices
+    relabelled so that the last vertex does not have minimum degree."""
+    rng = random.Random(20261020)
+    families = [(clique(t),) for t in range(2, 6)]
+    families += [(star(r),) for r in range(1, 5)]
+    families += [(path(4),), (cycle(4),), (tree_pattern(cons.t_star()),),
+                 (clique(3), star(3))]
+    verdicts = Counter()
+    for fs in families:
+        saturated = saturation_verdict(fs)
+        rows = [("class", adj) for n in range(1, 8) for adj, _ in
+                enumerate_classes(n, SearchConstraints(forbidden=fs))]
+        for n in range(5, 11):
+            for _ in range(30):
+                g = _random_free_graph(rng, n, *fs)
+                deg = g.degrees()
+                high = [v for v in range(n) if deg[v] > min(deg)]
+                if high:
+                    v = rng.choice(high)
+                    perm = list(range(n))
+                    perm[v], perm[n - 1] = n - 1, v
+                    g = g.relabel(perm)
+                    assert g.degree(n - 1) > min(g.degrees())
+                    rows.append(("random", g.adj))
+        for kind, adj in rows:
+            verdict = saturated(adj)
+            assert verdict == (first_uncreated(adj, fs)[0] is None), (fs, adj)
+            verdicts[kind, verdict] += 1
+    assert min(verdicts.values()) > 100
+
+
+def _sweep_configs():
+    """(n, forbidden pattern, constraints) of the saturated-class sweep:
+    K3..K5 and S3..S6 on their orders up to 8, unconstrained, under
+    max_degree 3 and under connected_only."""
+    for f in [clique(t) for t in range(3, 6)] + [star(r) for r in range(3, 7)]:
+        for constraints in (SearchConstraints(),
+                            SearchConstraints(max_degree=3),
+                            SearchConstraints(connected_only=True)):
+            for n in range(f.order, 9):
+                if (constraints.max_degree or 0) < n:
+                    yield n, f, constraints
+
+
+def _reference_saturated(n, f, classes):
+    """The f-saturated classes among classes by first_uncreated, as
+    (adjacency rows, canonical code) pairs in code order."""
+    return sorted(((adj, canonical_raw(n, adj)[0]) for adj, _ in classes
+                   if first_uncreated(adj, (f,))[0] is None),
+                  key=lambda item: item[1])
+
+
+def test_saturated_classes_equal_first_uncreated_reference(monkeypatch):
+    """saturated_classes gives the list, codes included, and the count of
+    classes examined that first_uncreated gives over the classes
+    enumerate_classes returns, with one worker (and with two on 8
+    vertices), and exists_saturated_with, unconstrained, the first of
+    that list when the extra clique is forbidden as well."""
+    found = []
+    enumerate_all = search.enumerate_classes
+
+    def spy(n, constraints, workers=1):
+        found.append(enumerate_all(n, constraints, workers))
+        return found[-1]
+
+    monkeypatch.setattr(search, "enumerate_classes", spy)
+    saturated = 0
+    for n, f, constraints in _sweep_configs():
+        reference = None
+        # two workers at the largest order only, to keep the sweep short
+        for workers in (1, 2) if n == 8 else (1,):
+            clear_cache()
+            sat, examined = saturated_classes(n, f, constraints, workers)
+            if reference is None:
+                reference = _reference_saturated(n, f, found[-1])
+            assert examined == len(found[-1])
+            assert [(g.adj, canonical_raw(n, g.adj)[0]) for g in sat] == \
+                reference, (n, f, constraints, workers)
+        saturated += len(reference)
+        if (f.kind == "clique" and f.size > 3
+                and constraints == SearchConstraints()):
+            for prop in (("k-free", f.size - 1), ("max-clique", f.size - 3)):
+                clear_cache()
+                searched = len(found)
+                w = exists_saturated_with(n, f, prop, constraints)
+                assert len(found) == searched + 1
+                extra = _reference_saturated(n, f, found[-1])
+                assert (w and w.adj) == (extra[0][0] if extra else None)
+    clear_cache()
+    assert saturated > 200
 
 
 def test_deleted_rows_equal_delete_vertex():
