@@ -79,8 +79,9 @@ nothing above settles, for deletion checks the profile does not reject,
 for deduplication, for children below the final order whose generators
 do not follow from P's, and for the saturated graphs, whose codes order
 the reports (a level entry's code is None where none was computed).
-saturated_classes decides saturation on the rows (saturation_verdict)
-and builds a Graph only for the classes it returns.
+saturated_classes decides saturation on the rows (saturation_verdict),
+builds a Graph only for the classes it returns and is memoized on its
+argument list, workers included; clear_cache empties the memo.
 
 Constraints enforced during generation must be hereditary and
 label-invariant: degree caps and monotone forbidden subgraphs qualify
@@ -91,10 +92,10 @@ _grow_level decides each parent's children from the parent alone and
 appends them in parent order.  So with several workers, a level of at
 least CHUNKS parents per worker is cut into at most CHUNKS contiguous
 chunks per worker, grown in a process pool and joined in chunk order:
-exactly the level one process builds (the final level is then sorted by
-adjacency).  Class lists, codes and reports are the same for any worker
-count.  Narrower levels stay in-process, where a pool costs more than it
-saves.
+exactly the level one process builds.  The final level is sorted by
+adjacency once, at the end, so class lists, codes and reports are the
+same for any worker count.  Narrower levels stay in-process, where a
+pool costs more than it saves.
 
 Search-level existence questions ignore the vacuously saturated
 complete graphs on fewer vertices than the pattern: when n is below the
@@ -108,6 +109,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
+from functools import cache
 from itertools import repeat
 
 from .canon import (automorphisms_from, canonical_raw, equitable_partition,
@@ -129,11 +131,6 @@ class SearchConstraints:
     max_degree: int | None = None
     forbidden: tuple[PatternSpec, ...] = ()
     connected_only: bool = False
-
-    def key(self) -> tuple:
-        return (self.max_degree,
-                tuple(sorted(str(f) for f in self.forbidden)),
-                self.connected_only)
 
     def with_forbidden(self, f: PatternSpec) -> SearchConstraints:
         """These constraints with f forbidden as well."""
@@ -170,40 +167,44 @@ def _child_violates(adj_child, k: int, forbidden) -> bool:
     return any(copy_through(f, adj_child, deg, (k,)) for f in forbidden)
 
 
-def _grow_level(parents, k: int, max_degree, clique, forbidden, final: bool):
-    """All (k+1)-vertex classes obtainable from the k-vertex classes.
+def _grow_level(parents, k: int, cap: int, clique, forbidden, final: bool):
+    """All (k+1)-vertex classes obtainable from the k-vertex classes, in
+    parent order.
 
     parents: list of (adj_tuple, code, generators of Aut(P)); returns the
-    same shape, or on the final level (adj_tuple, code) pairs sorted by
-    adj; code is None where acceptance needed no canonical form.
-    clique is the order of the smallest forbidden clique or None;
+    same shape, or on the final level (adj_tuple, code) pairs; code is
+    None where acceptance needed no canonical form.  cap is the degree
+    cap; clique is the order of the smallest forbidden clique or None;
     forbidden holds the patterns left to embed.
     """
     out = []
     n = k + 1
-    cap = max_degree if max_degree is not None and max_degree <= k else n
     for adjP, codeP, gens in parents:
         degP = [a.bit_count() for a in adjP]
+        dmasks = _degree_masks(degP)
         kids = []
         moved = False  # some child was accepted with w* outside k's orbit
         memo: dict = {}
         ext = None if final else [g + (k,) for g in gens]  # k -> k
         for subset in _candidates(adjP, degP, gens, cap, clique):
-            child = _try_child(adjP, codeP, degP, k, subset, forbidden,
+            child = _try_child(adjP, codeP, dmasks, k, subset, forbidden,
                                ext, memo)
             if child is not None:
                 kids.append(child)
                 moved |= child[4]
-        if moved:
-            kids = _first_of_each_class(n, kids)
-        for adj, _, cells, canon, _ in kids:
+        seen: set[bytes] = set()
+        for adj, ambiguous, cells, canon, _ in kids:
+            if moved and ambiguous:
+                if canon is None or canon[0] is None:
+                    canon = canonical_raw(n, adj, cells=cells)
+                if canon[0] in seen:
+                    continue
+                seen.add(canon[0])
             if final:
                 out.append((adj, None if canon is None else canon[0]))
             else:
                 code, _, auts = canon or canonical_raw(n, adj, cells=cells)
                 out.append((adj, code, auts))
-    if final:
-        out.sort(key=lambda item: item[0])
     return out
 
 
@@ -228,22 +229,6 @@ def _candidates(adjP, degP, gens, cap: int, clique):
         if gens:
             tried |= orbit(subset, gens)
         yield subset
-
-
-def _first_of_each_class(n: int, kids):
-    """The children of one parent less every ambiguous child isomorphic
-    to an earlier one, with the canonical forms this needs filled in."""
-    seen: set[bytes] = set()
-    kept = []
-    for adj, ambiguous, cells, canon, moved in kids:
-        if ambiguous:
-            if canon is None or canon[0] is None:
-                canon = canonical_raw(n, adj, cells=cells)
-            if canon[0] in seen:
-                continue
-            seen.add(canon[0])
-        kept.append((adj, ambiguous, cells, canon, moved))
-    return kept
 
 
 def _submasks(allowed: int, top: int):
@@ -319,22 +304,21 @@ def _minimizers(adjP, dmasks, k: int, nmask: int) -> int | None:
     return tied
 
 
-def _try_child(adjP, codeP, degP, k: int, nmask: int, forbidden, gens,
+def _try_child(adjP, codeP, dmasks, k: int, nmask: int, forbidden, gens,
                memo: dict):
     """Parent test for the child C = P + new vertex k with neighborhood
     nmask, a mask that already gives k minimum degree in C.
 
-    gens: Aut(P)'s generators extended by k -> k, or None at the final
-    order; memo caches P's vertices by degree, profile and code.
+    dmasks is _degree_masks of P's degrees; gens: Aut(P)'s generators
+    extended by k -> k, or None at the final order; memo caches P's
+    profile and code.
     Returns None for a rejected child, else (adj, ambiguous, cells, canon,
     moved): ambiguous says k ties with another invariant minimizer; cells
     and canon are C's equitable partition and canonical_raw triple, or
     (None, None, Aut(C)'s generators), each None where the decision did
     without it; moved says w* lies outside k's orbit, so C may duplicate
     another child of P."""
-    if "dmasks" not in memo:
-        memo["dmasks"] = _degree_masks(degP)
-    tied = _minimizers(adjP, memo["dmasks"], k, nmask)
+    tied = _minimizers(adjP, dmasks, k, nmask)
     if tied is None:
         return None
     rows = list(adjP)
@@ -405,20 +389,15 @@ def _base_level(final: bool):
 
 
 def _effective(n: int, constraints: SearchConstraints):
-    """The degree cap, forbidden stars included (None when it cannot
-    bind), the order of the smallest forbidden clique (None without one)
+    """The degree cap, forbidden stars included (n - 1 when neither
+    binds), the order of the smallest forbidden clique (None without one)
     and the forbidden patterns left to embed."""
     max_degree = constraints.max_degree
     if max_degree is not None and not 0 <= max_degree < n:
         raise DomainError(f"max_degree cap must be in 0..{n - 1}")
     clique, star, rest = split_family(constraints.forbidden)
-    caps = [] if star is None else [star - 1]
-    if max_degree is not None:
-        caps.append(max_degree)
-    cap = min(caps, default=None)
-    if cap is not None and cap >= n - 1:
-        cap = None
-    return cap, clique, rest
+    cap = n - 1 if max_degree is None else max_degree
+    return cap if star is None else min(cap, star - 1), clique, rest
 
 
 def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints(),
@@ -434,6 +413,8 @@ def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints
     if n > HARD_CAP:
         raise DomainError(f"n={n} above the desk-scale cap {HARD_CAP}",
                           code="cap")
+    if workers < 1:
+        raise DomainError(f"workers={workers}: a search needs workers >= 1")
     cap, clique, forb = _effective(n, constraints)
     # the induction starts from K_1, unless it holds a forbidden pattern
     violates = clique == 1 or _child_violates((0,), 0, forb)
@@ -453,8 +434,7 @@ def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints
             parts = pool.map(_grow_level, chunks, repeat(k), repeat(cap),
                              repeat(clique), repeat(forb), repeat(final))
             level = [item for part in parts for item in part]
-            if final:
-                level.sort(key=lambda item: item[0])
+    level.sort(key=lambda item: item[0])
     if constraints.connected_only:
         level = [(adj, code) for adj, code in level
                  if is_connected(Graph(n, adj))]
@@ -467,22 +447,18 @@ def enumerate_graphs(n: int, constraints: SearchConstraints = SearchConstraints(
         yield Graph(n, adj)
 
 
-# -- saturated-class cache ---------------------------------------------------
-
-_SAT_CACHE: dict[tuple, tuple] = {}
+# -- saturated classes -------------------------------------------------------
 
 
+@cache
 def saturated_classes(n: int, f: PatternSpec,
                       constraints: SearchConstraints = SearchConstraints(),
                       workers: int = 1):
     """All f-saturated classes on n vertices under the constraints.
 
     Returns (graphs, examined) where graphs is a code-sorted list of
-    class representatives.  Results are memoized per parameter key.
+    class representatives.  Results are memoized on the argument list.
     """
-    key = (n, str(f), constraints.key())
-    if key in _SAT_CACHE:
-        return _SAT_CACHE[key]
     if n < 1:
         raise DomainError(f"n={n}: a saturated graph needs n >= 1")
     if n < f.order:
@@ -499,13 +475,10 @@ def saturated_classes(n: int, f: PatternSpec,
                 code = canonical_raw(n, adj)[0]
             sat.append((Graph(n, adj), code))
     sat.sort(key=lambda item: item[1])
-    result = ([g for g, _ in sat], len(classes))
-    _SAT_CACHE[key] = result
-    return result
+    return [g for g, _ in sat], len(classes)
 
 
-def clear_cache():
-    _SAT_CACHE.clear()
+clear_cache = saturated_classes.cache_clear
 
 
 # -- oracle operations --------------------------------------------------------

@@ -7,6 +7,8 @@ prints one PASS/FAIL line per criterion.
 from fractions import Fraction
 from math import ceil
 
+import pytest
+
 from satgraph.bounds import ehm_value, krfree_bound_at_r, kt_threshold
 from satgraph.canon import canonical_form
 from satgraph.counting import count_paths, count_stars
@@ -160,6 +162,7 @@ def test_criterion_08_blowup_beats_split_for_s3():
         assert blow < split, n
 
 
+@pytest.mark.slow
 def test_criterion_09_path_facts():
     from satgraph.bounds import split_path_leading
     assert count_paths(cons.split_graph(6, 4), 4) == 36

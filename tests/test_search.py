@@ -284,6 +284,7 @@ SEARCH_GOLDEN_DIGEST = ("69162b8f5eb407f546657aa469df035a"
                         "fd9e13579ac31723045e87d20116ed47")
 
 
+@pytest.mark.slow
 def test_search_output_golden_digest():
     h = hashlib.sha256()
     for f, constraints in _search_digest_configs():
@@ -350,8 +351,8 @@ def _final_level_against_reference(n, constraints):
         for mask in search._candidates(adjP, degP, gens, kcap, clique):
             accepted, ambiguous, code = _reference_parent_test(
                 adjP, fullP, k, mask)
-            child = search._try_child(adjP, codeP, degP, k, mask, forbidden,
-                                      None, memo)
+            child = search._try_child(adjP, codeP, search._degree_masks(degP),
+                                      k, mask, forbidden, None, memo)
             assert (child is not None) == accepted, (adjP, mask)
             if not accepted:
                 continue
@@ -362,7 +363,7 @@ def _final_level_against_reference(n, constraints):
                 seen.add(code)
             expected.append(child[0])
     final = search._grow_level(level, k, cap, clique, forbidden, True)
-    assert [adj for adj, _ in final] == sorted(expected)
+    assert [adj for adj, _ in final] == expected
     return duplicates
 
 
@@ -378,6 +379,7 @@ def test_parent_test_decisions_match_canonical_form_reference():
     _final_level_against_reference(8, SearchConstraints(max_degree=3))
 
 
+@pytest.mark.slow
 def test_parent_test_decisions_match_reference_wider():
     """The reference decision check on all graphs on 8 vertices, which
     drops duplicates, and on triangle-free graphs on 9.  The check
@@ -406,6 +408,7 @@ def _assert_level_groups(n, constraints):
             assert group_order(k + 1, gens) == automorphism_count(g), adj
 
 
+@pytest.mark.slow
 def test_level_generators_generate_the_group():
     """The generators a child takes from its parent's group, or from its
     canonical form, generate the child's automorphism group: all graphs
@@ -425,6 +428,7 @@ A000088_N9_DIGEST = ("06bc9faa443ea2fca8fd7bf4fd7ed5b7"
                      "2ca306dd8b0de55e520948e79ffca1c9")
 
 
+@pytest.mark.slow
 def test_all_graphs_n9_oeis_a000088_and_digest():
     classes = enumerate_classes(9)
     assert len(classes) == 274668
@@ -636,6 +640,7 @@ def _reference_saturated(n, f, classes):
                   key=lambda item: item[1])
 
 
+@pytest.mark.slow
 def test_saturated_classes_equal_first_uncreated_reference(monkeypatch):
     """saturated_classes gives the list, codes included, and the count of
     classes examined that first_uncreated gives over the classes
@@ -734,4 +739,42 @@ def test_exists_saturated_with_max_clique_prunes_generation(monkeypatch):
     assert canonical_form(w) == canonical_form(
         exists_saturated_with(8, star(5), ("k-free", 3)))
     assert contains_copy(w, clique(3)) is None
+    clear_cache()
+
+
+def test_saturated_class_memo_enumerates_each_question_once(
+        monkeypatch, tmp_path, capsys):
+    from satgraph.cli import run
+    seen = []
+    enumerate_all = search.enumerate_classes
+
+    def spy(n, constraints, workers=1):
+        seen.append((n, constraints.forbidden))
+        return enumerate_all(n, constraints, workers)
+
+    monkeypatch.setattr(search, "enumerate_classes", spy)
+    clear_cache()
+    first = satnum_exact(6, clique(3), star(1))
+    assert satnum_exact(6, clique(3), star(1)) == first
+    assert seen == [(6, (clique(3),))]
+    clear_cache()
+    assert satnum_exact(6, clique(3), star(1)) == first
+    assert seen == [(6, (clique(3),))] * 2
+    seen.clear()
+    clear_cache()
+    grid = tmp_path / "grid.txt"
+    grid.write_text("6 K3 S1\n5 K4 S1\n6 K3 K2\n5 K4 K3\n6 K3 S2\n")
+    assert run(["certify", "--grid", str(grid)]) == 0
+    capsys.readouterr()
+    clear_cache()
+    assert seen == [(6, (clique(3),)), (5, (clique(4),))]
+
+
+def test_workers_below_one_is_domain_error():
+    for workers in (0, -1):
+        with pytest.raises(DomainError, match="workers"):
+            enumerate_classes(4, workers=workers)
+    clear_cache()
+    with pytest.raises(DomainError, match="workers"):
+        satnum_exact(5, clique(3), star(1), workers=0)
     clear_cache()
