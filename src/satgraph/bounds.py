@@ -137,7 +137,11 @@ def kt_threshold(f: PatternSpec) -> dict:
     """Clique-threshold data for a forbidden graph F on t vertices:
     alpha = independence number, d = fewest edges from a vertex into a
     maximum independent set, u = t - alpha - 1 universal peels, and
-    r_min = t - alpha + d, from which point on sat_{K_r}(n, F) = 0."""
+    r_min = t - alpha + d, from which point on sat_{K_r}(n, F) = 0.
+
+    r_min is sufficient, not necessary: an exhaustive search for K_r-free
+    F-saturated graphs on n <= 10 vertices found them below r_min too
+    (at r = 3 for S3 on 4..10 vertices and for P5 and C5 on 6..10)."""
     fg = f.to_graph()
     if fg.num_edges() == 0:
         raise DomainError("threshold needs a pattern with at least one edge")

@@ -191,9 +191,17 @@ def _emit(command: str, parameters: dict, result, started: float) -> None:
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, list[argparse.Action]]:
-    """The argument parser, built once per process, and its --workers
-    actions, whose default `run` sets from the environment on each call."""
+def _parser() -> tuple[argparse.ArgumentParser,
+                       dict[str, argparse.ArgumentParser],
+                       list[argparse.Action]]:
+    """The argument parser, built once per process, its subparsers by
+    command, and its --workers actions, whose default `run` sets from the
+    environment on each call.
+
+    `run` parses a command's arguments with that command's own subparser,
+    so argparse reads them once and not again under the top parser.
+    Leftover arguments go to the top parser's `error`, which reports them
+    under its own usage line, as a parse by the top parser would."""
     p = argparse.ArgumentParser(prog="satgraph",
                                 description="graph saturation toolkit")
     workers = []
@@ -253,7 +261,7 @@ def _parser() -> tuple[argparse.ArgumentParser, list[argparse.Action]]:
                     help="file of lines: <n> <forbid> <count>")
     ce.add_argument("--out", help="write the archive here instead of stdout")
     workers.append(ce.add_argument("--workers", type=_workers))
-    return p, workers
+    return p, sub.choices, workers
 
 
 def _construct(args) -> dict:
@@ -348,13 +356,19 @@ def _certify(args) -> tuple[dict, bool]:
 
 
 def run(argv) -> int:
-    parser, workers = _parser()
+    parser, commands, workers = _parser()
     # a string default goes through the type check like a typed value
     for action in workers:
         action.default = os.environ.get("SATGRAPH_WORKERS", "1")
     started = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:
+            args, extra = commands[argv[0]].parse_known_args(
+                argv[1:], argparse.Namespace(schema=False, command=argv[0]))
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     if args.schema:
@@ -425,9 +439,6 @@ def run(argv) -> int:
                       f"forbid={bad['forbid']}, count={bad['count']})",
                       file=sys.stderr)
                 return 4
-        else:
-            parser.print_usage(sys.stderr)
-            return 2
     except (DomainError, OSError) as exc:
         code = exc.code if isinstance(exc, DomainError) else "io"
         print(json.dumps({"error": {"code": code, "message": str(exc)}},

@@ -400,6 +400,11 @@ def _effective(n: int, constraints: SearchConstraints):
     return cap if star is None else min(cap, star - 1), clique, rest
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise DomainError(f"workers={workers}: a search needs workers >= 1")
+
+
 def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints(),
                       workers: int = 1):
     """One representative per isomorphism class of n-vertex graphs
@@ -413,8 +418,7 @@ def enumerate_classes(n: int, constraints: SearchConstraints = SearchConstraints
     if n > HARD_CAP:
         raise DomainError(f"n={n} above the desk-scale cap {HARD_CAP}",
                           code="cap")
-    if workers < 1:
-        raise DomainError(f"workers={workers}: a search needs workers >= 1")
+    _check_workers(workers)
     cap, clique, forb = _effective(n, constraints)
     # the induction starts from K_1, unless it holds a forbidden pattern
     violates = clique == 1 or _child_violates((0,), 0, forb)
@@ -459,6 +463,7 @@ def saturated_classes(n: int, f: PatternSpec,
     Returns (graphs, examined) where graphs is a code-sorted list of
     class representatives.  Results are memoized on the argument list.
     """
+    _check_workers(workers)
     if n < 1:
         raise DomainError(f"n={n}: a saturated graph needs n >= 1")
     if n < f.order:
@@ -569,6 +574,7 @@ def tstar_scan(n_max: int, workers: int = 1) -> dict:
         raise DomainError(f"n_max={n_max} above cap {HARD_CAP}", code="cap")
     if n_max < 1:
         raise DomainError(f"n_max={n_max}: the scan needs n_max >= 1")
+    _check_workers(workers)
     spider = tree_pattern(t_star())
     cons = SearchConstraints(forbidden=(clique(3),))
     per_n = {}

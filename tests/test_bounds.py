@@ -12,6 +12,7 @@ from satgraph.bounds import (best_c, cl_value, ehm_value, krfree_bound,
 from satgraph.counting import count_paths
 from satgraph.errors import DomainError, SplitPathFreeError
 from satgraph.patterns import clique, parse_pattern, star
+from satgraph.search import exists_saturated_with
 from satgraph import constructions as cons
 
 
@@ -147,6 +148,22 @@ def test_kt_threshold_clique():
     for t in (3, 4, 5):
         assert kt_threshold(clique(t)) == \
             {"t": t, "alpha": 1, "d": 1, "u": t - 2, "r_min": t}
+
+
+@pytest.mark.parametrize("name, n, present", [
+    ("S3", 5, (3, 4)), ("C4", 5, (3, 4)), ("P5", 6, (3, 4)),
+    ("C5", 6, (3, 4)), ("S4", 6, (3, 4, 5)),
+])
+def test_kt_threshold_sufficient_not_necessary(name, n, present):
+    """A K_r-free F-saturated graph on n vertices exists at r = r_min and
+    at every r in ``present``, some below r_min; none exists at r = 2,
+    where the graph is empty."""
+    f = parse_pattern(name)
+    r_min = kt_threshold(f)["r_min"]
+    assert r_min in present and min(present) < r_min
+    assert exists_saturated_with(n, f, ("k-free", 2)) is None
+    for r in present:
+        assert exists_saturated_with(n, f, ("k-free", r)) is not None, r
 
 
 def test_path_sat_threshold():

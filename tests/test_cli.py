@@ -264,6 +264,64 @@ def test_missing_family_flag_is_usage_error(capsys, argv, flag):
     assert code == 2 and out == "" and flag in err
 
 
+_TOP_USAGE = (
+    "usage: satgraph [-h] [--schema]\n"
+    "                {construct,count,check-sat,satnum,m0,tie-ts,bounds,scan,"
+    "certify}\n"
+    "                ...\n")
+_CONSTRUCT_USAGE = (
+    "usage: satgraph construct [-h] [--n N] [--t T] [--r R] [--m M] [--a A] "
+    "[--b B]\n"
+    "                          [--k K] [--c C] [--sizes SIZES]\n"
+    "                          {split,near-regular,kr,regular-multipartite,"
+    "partite,g49,g4n,gtn,wt,fig1,fig2,tstar,cycle-pendants}\n")
+_KR = ["construct", "kr", "--t", "3", "--n", "5", "--m", "1"]
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([], _TOP_USAGE),
+    (["no-such-command"], _TOP_USAGE +
+     "satgraph: error: argument command: invalid choice: 'no-such-command' "
+     "(choose from 'construct', 'count', 'check-sat', 'satnum', 'm0', "
+     "'tie-ts', 'bounds', 'scan', 'certify')\n"),
+    (["construct"], _CONSTRUCT_USAGE +
+     "satgraph construct: error: the following arguments are required: "
+     "family\n"),
+    (["construct", "nope"], _CONSTRUCT_USAGE +
+     "satgraph construct: error: argument family: invalid choice: 'nope' "
+     "(choose from 'split', 'near-regular', 'kr', 'regular-multipartite', "
+     "'partite', 'g49', 'g4n', 'gtn', 'wt', 'fig1', 'fig2', 'tstar', "
+     "'cycle-pendants')\n"),
+    (_KR + ["--schema"], _TOP_USAGE +
+     "satgraph: error: unrecognized arguments: --schema\n"),
+    (_KR + ["junk", "--x"], _TOP_USAGE +
+     "satgraph: error: unrecognized arguments: junk --x\n"),
+    (["satnum"],
+     "usage: satgraph satnum [-h] {star-star,exact} ...\n"
+     "satgraph satnum: error: the following arguments are required: mode\n"),
+    (["satnum", "exact", "--n", "x", "--forbid", "K3", "--count", "S1"],
+     "usage: satgraph satnum exact [-h] --n N --forbid FORBID --count COUNT\n"
+     "                             [--max-degree MAX_DEGREE] "
+     "[--workers WORKERS]\n"
+     "                             [--connected-only]\n"
+     "satgraph satnum exact: error: argument --n: invalid int value: 'x'\n"),
+    (["scan", "tstar", "--workers", "0"],
+     "usage: satgraph scan tstar [-h] [--max-n MAX_N] [--workers WORKERS]\n"
+     "satgraph scan tstar: error: argument --workers: workers must be a "
+     "positive integer, got '0'\n"),
+    (["count", "--graph"],
+     "usage: satgraph count [-h] --graph GRAPH --pattern PATTERN\n"
+     "satgraph count: error: argument --graph: expected one argument\n"),
+])
+def test_usage_error_golden_bytes(capsys, monkeypatch, argv, err):
+    """Exit code, stdout and stderr of usage errors, byte for byte.
+    Leftover arguments are reported under the top parser's usage line,
+    whichever parser read the command's arguments."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
+    monkeypatch.delenv("SATGRAPH_WORKERS", raising=False)
+    assert invoke(capsys, *argv) == (2, "", err)
+
+
 def test_non_utf8_graph_file_is_format_error(tmp_path, capsys):
     path = tmp_path / "g.g6"
     path.write_bytes(b"D\xff\xfe~w")

@@ -342,13 +342,12 @@ def _final_level_against_reference(n, constraints):
     for k in range(1, n - 1):
         level = search._grow_level(level, k, cap, clique, forbidden, False)
     k = n - 1
-    kcap = cap if cap is not None and cap <= k else n
     expected, duplicates = [], 0
     for adjP, codeP, gens in level:
         degP = [a.bit_count() for a in adjP]
         seen, memo = set(), {}
         fullP = codeP or canonical_raw(k, adjP)[0]
-        for mask in search._candidates(adjP, degP, gens, kcap, clique):
+        for mask in search._candidates(adjP, degP, gens, cap, clique):
             accepted, ambiguous, code = _reference_parent_test(
                 adjP, fullP, k, mask)
             child = search._try_child(adjP, codeP, search._degree_masks(degP),
@@ -771,10 +770,19 @@ def test_saturated_class_memo_enumerates_each_question_once(
 
 
 def test_workers_below_one_is_domain_error():
+    """The entry points check the worker count before the order decides
+    whether a search runs, so a bad count fails the same way at every n."""
     for workers in (0, -1):
         with pytest.raises(DomainError, match="workers"):
             enumerate_classes(4, workers=workers)
-    clear_cache()
-    with pytest.raises(DomainError, match="workers"):
-        satnum_exact(5, clique(3), star(1), workers=0)
+    for call in (lambda: satnum_exact(5, clique(3), star(1), workers=0),
+                 lambda: satnum_exact(2, clique(3), star(1), workers=0),
+                 lambda: exists_saturated_with(2, clique(3), ("k-free", 3),
+                                               workers=0),
+                 lambda: tstar_scan(6, workers=0),
+                 lambda: tstar_scan(8, workers=0)):
+        clear_cache()
+        with pytest.raises(DomainError,
+                           match="workers=0: a search needs workers >= 1"):
+            call()
     clear_cache()
