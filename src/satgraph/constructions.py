@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from .bounds import partite_threshold
 from .errors import DomainError
-from .graph import (Graph, blow_up, build_graph, check_order, complete_graph,
-                    cycle_graph, disjoint_union, empty_graph, join)
+from .graph import (Graph, blow_up, build_graph, check_combined_order,
+                    check_order, complete_graph, cycle_graph, disjoint_union,
+                    empty_graph, join)
 
 
 def split_graph(n: int, t: int) -> Graph:
@@ -53,9 +54,15 @@ def _circulant(n: int, offsets, extra=()) -> Graph:
     """The graph on 0..n-1 joining each i to i + s (mod n) for every offset
     s, plus the edges extra."""
     check_order(n)
-    pairs = [(i, (i + s) % n) for s in offsets for i in range(n)]
-    return build_graph(n, sorted({(min(e), max(e))
-                                  for e in pairs + list(extra)}))
+    row = 0
+    for s in offsets:
+        row |= 1 << s % n | 1 << -s % n
+    full = (1 << n) - 1
+    adj = [(row << i | row >> n - i) & full for i in range(n)]
+    for u, v in extra:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, adj)
 
 
 def kr_graph(t: int, n: int, m: int) -> Graph:
@@ -76,10 +83,15 @@ def kr_graph(t: int, n: int, m: int) -> Graph:
     if odd and m == 0:
         raise DomainError("odd parity needs m >= 1 to host the bridge edge",
                           code="bridge")
-    g = disjoint_union(complete_graph(m), near_regular(t - 1, n - m))
-    if odd:
-        g = g.with_edge(0, m)  # clique vertex 0 <-> defect vertex of R
-    return g
+    check_order(m)
+    rest = near_regular(t - 1, n - m).adj
+    check_combined_order(n)
+    clique = (1 << m) - 1
+    adj = [clique ^ 1 << v for v in range(m)] + [a << m for a in rest]
+    if odd:  # clique vertex 0 <-> defect vertex of R
+        adj[0] |= 1 << m
+        adj[m] |= 1
+    return Graph(n, adj)
 
 
 def regular_multipartite(a: int, r: int, k: int):

@@ -7,8 +7,9 @@ instance, so instances can be shared freely between worker processes.
 
 The module also carries the graph6 text codec (bit-exact with the
 published layout: 6-bit groups over the column-major upper triangle,
-offset 63; the groups are base64 sextets in another alphabet, so the
-codec runs through ``base64``) and a small JSON adjacency form.
+offset 63, read as base64 sextets in another alphabet and, through a
+bit-reversal table, as one integer; the decoder mirrors columns into rows
+with the transpose that checks each Graph) and a small JSON adjacency form.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
 _FROM_G6 = bytes.maketrans(bytes(range(63, 127)), _B64)
 _BAD_BYTE = re.compile("[^?-~]")
+# graph6 and base64 put a stream's first bit in a byte's top bit; through
+# this table stream bit p is bit p of one little-endian integer
+_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -64,23 +68,27 @@ def _swaps(stride: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _is_simple(n: int, adj: tuple[int, ...]) -> bool:
-    """Rows as one bit matrix: no loop, no bit at or above n, and equal to
-    its transpose.  Whole-matrix integer operations keep this off the
-    per-edge path, since every Graph built runs it."""
-    width, inside, swaps = _layout(n)
-    try:
-        m = int.from_bytes(b"".join([a.to_bytes(width, "little") for a in adj]),
-                           "little")
-    except OverflowError:  # a negative row, or one wider than the stride
-        return False
-    if m & ~inside:
-        return False
+def _matrix(n: int, rows) -> tuple[int, int]:
+    """Rows as one bit matrix, row i at bit i * stride, and its transpose;
+    OverflowError on a negative row or one wider than the stride."""
+    width, _, swaps = _layout(n)
+    m = int.from_bytes(b"".join([a.to_bytes(width, "little") for a in rows]),
+                       "little")
     t = m
     for shift, mask in swaps:
         d = (t ^ t >> shift) & mask
         t ^= d | d << shift
-    return t == m
+    return m, t
+
+
+def _is_simple(n: int, adj: tuple[int, ...]) -> bool:
+    """No loop, no bit at or above n, and equal to the transpose; whole-
+    matrix operations, since every Graph built runs this."""
+    try:
+        m, t = _matrix(n, adj)
+    except OverflowError:
+        return False
+    return not m & ~_layout(n)[1] and t == m
 
 
 def check_order(n: int) -> None:
@@ -88,6 +96,13 @@ def check_order(n: int) -> None:
     are built."""
     if n < 0 or n > MAX_VERTICES:
         raise DomainError(f"order {n} outside supported range 0..{MAX_VERTICES}",
+                          code="capacity")
+
+
+def check_combined_order(n: int) -> None:
+    """Reject the order of a graph made of smaller ones above MAX_VERTICES."""
+    if n > MAX_VERTICES:
+        raise DomainError(f"combined order {n} exceeds capacity {MAX_VERTICES}",
                           code="capacity")
 
 
@@ -253,9 +268,7 @@ def star_graph(r: int) -> Graph:
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     n = g1.n + g2.n
-    if n > MAX_VERTICES:
-        raise DomainError(f"combined order {n} exceeds capacity {MAX_VERTICES}",
-                          code="capacity")
+    check_combined_order(n)
     adj = list(g1.adj) + [a << g1.n for a in g2.adj]
     return Graph(n, adj)
 
@@ -263,9 +276,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus all edges between the two sides."""
     n = g1.n + g2.n
-    if n > MAX_VERTICES:
-        raise DomainError(f"combined order {n} exceeds capacity {MAX_VERTICES}",
-                          code="capacity")
+    check_combined_order(n)
     m1 = (1 << g1.n) - 1
     m2 = ((1 << g2.n) - 1) << g1.n
     adj = [a | m2 for a in g1.adj] + [(a << g1.n) | m1 for a in g2.adj]
@@ -330,12 +341,14 @@ def encode_graph6(g: Graph) -> str:
         raise DomainError("graph6 supports at most 258047 vertices here",
                           code="capacity")
     # column j lists x(0,j)..x(j-1,j): row j's low j bits, lowest first
-    stream = "".join([format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1]
-                      for j in range(1, n)])
-    need = (len(stream) + 5) // 6
-    stream += "0" * (-len(stream) % 24)  # whole base64 quanta of three bytes
-    body = b64encode(int(stream or "0", 2).to_bytes(len(stream) // 8, "big"))
-    return header + body.translate(_TO_G6)[:need].decode("ascii")
+    x = 0
+    for j in range(1, n):
+        x |= (g.adj[j] & (1 << j) - 1) << j * (j - 1) // 2
+    nbits = n * (n - 1) // 2
+    # whole base64 quanta of three bytes
+    raw = x.to_bytes(-(-nbits // 24) * 3, "little").translate(_REVERSE)
+    body = b64encode(raw).translate(_TO_G6)[:(nbits + 5) // 6]
+    return header + body.decode("ascii")
 
 
 def decode_graph6(text: str) -> Graph:
@@ -373,13 +386,13 @@ def decode_graph6(text: str) -> Graph:
     check_order(n)
     # each body byte is one sextet; "A" pads to whole base64 quanta
     raw = b64decode(body.encode("ascii").translate(_FROM_G6) + b"A" * (-need % 4))
-    s = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
-    adj = [0] * n
-    for j in range(1, n):
-        col = adj[j] = int(s[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
-        for i in bits(col):
-            adj[i] |= 1 << j
-    return Graph(n, adj)
+    x = int.from_bytes(raw.translate(_REVERSE), "little")
+    # column j is row j's low j bits; the transpose gives each row's high ones
+    m, t = _matrix(n, [x >> j * (j - 1) // 2 & (1 << j) - 1 for j in range(n)])
+    width = _layout(n)[0]
+    rows = (m | t).to_bytes(n * width, "little")
+    return Graph(n, [int.from_bytes(rows[i:i + width], "little")
+                     for i in range(0, n * width, width)])
 
 
 # -- JSON adjacency (debug format) ------------------------------------------

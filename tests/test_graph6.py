@@ -115,7 +115,8 @@ def _header(n):
 @pytest.mark.parametrize("p", [0, 0.1, 0.5, 0.9, 1])
 def test_codec_equals_reference_on_seeded_graphs(p):
     rng = random.Random(6000 + int(10 * p))
-    for n in list(range(71)) + [127, 511, 512]:
+    # 128, 256 and 512 are the stride boundaries of the transpose
+    for n in list(range(71)) + [127, 128, 129, 255, 256, 257, 511, 512]:
         g = random_graph(rng, n, p)
         text = _encode_reference(g)
         assert encode_graph6(g) == text

@@ -5,7 +5,8 @@ is checked against K3, K4, S2, S3, P4, C4 and the spider (three legs of
 length two), by is_saturated and by saturation_verdict; the atlas's
 classes on 4..7 vertices stand in for the search's enumeration in
 satnum_exact, and they are counted by order and size against
-enumerate_classes.
+enumerate_classes.  networkx's nonisomorphic trees check the least order
+of a path-saturated tree, bounds.path_sat_threshold.
 Copies are found with GraphMatcher subgraph monomorphisms, which share no
 code with satgraph's embedding, clique and star kernels, nor the atlas
 with its canonical forms.
@@ -18,10 +19,11 @@ import pytest
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
 
+from satgraph.bounds import path_sat_threshold  # noqa: E402
 from satgraph.graph import Graph  # noqa: E402
 from satgraph.constructions import t_star  # noqa: E402
-from satgraph.patterns import (clique, parse_pattern, star,  # noqa: E402
-                               tree_pattern)
+from satgraph.patterns import (clique, parse_pattern, path,  # noqa: E402
+                               star, tree_pattern)
 from satgraph.errors import NoneExistError  # noqa: E402
 from satgraph.saturation import is_saturated, saturation_verdict  # noqa: E402
 from satgraph.search import (SearchConstraints, enumerate_classes,  # noqa: E402
@@ -196,3 +198,18 @@ def test_enumerate_classes_counts_match_networkx_atlas():
         got = Counter((n, sum(a.bit_count() for a in adj) // 2)
                       for n in orders for adj, _ in enumerate_classes(n, cons))
         assert got == want, cons
+
+
+@pytest.mark.parametrize("t, counts", [(3, [1, 1, 1]), (4, [1, 1, 2]),
+                                       (5, [1, 2, 3])])
+def test_path_saturated_trees_start_at_path_sat_threshold(t, counts):
+    """No tree on 3 <= n < path_sat_threshold(t) vertices is saturated for
+    the path with t edges, and the threshold and the next two orders have
+    this many saturated trees (Kaszonyi and Tuza 1986).  n = 2 is left
+    out: K_2 has no non-edge, so it is saturated for every longer path."""
+    first = path_sat_threshold(t)
+    got = [sum(is_saturated(Graph.from_edges(n, tree.edges()),
+                            path(t + 1)).is_saturated
+               for tree in nx.nonisomorphic_trees(n))
+           for n in range(3, first + 3)]
+    assert got == [0] * (first - 3) + counts
