@@ -60,8 +60,7 @@ def partite_threshold_smooth(r: int, t: int, c) -> Fraction:
 def smooth_minimizer_c(r: int, t: int) -> float:
     """Unconstrained minimizer of n2: c = r - 1 - sqrt(t-1), clamped to
     [0, r-2]."""
-    if r < 3 or t < 3:
-        raise DomainError("need r >= 3 and t >= 3")
+    _check_partite(r, t, 0)
     c = r - 1 - (t - 1) ** 0.5
     return min(max(c, 0.0), float(r - 2))
 
@@ -71,8 +70,7 @@ def best_c(r: int, t: int) -> dict:
 
     Returns the minimizing c (smallest on ties), n1(c), and the full
     existence threshold max(t+1, n1(c))."""
-    if r < 3 or t < 3:
-        raise DomainError("need r >= 3 and t >= 3")
+    _check_partite(r, t, 0)
     values = {c: partite_threshold(r, t, c) for c in range(r - 1)}
     cbest = min(values, key=lambda c: (values[c], c))
     return {"c": cbest, "n1": values[cbest],
@@ -82,8 +80,7 @@ def best_c(r: int, t: int) -> dict:
 
 def partite_necessary(r: int, t: int) -> Fraction:
     """Necessary order r(t-1)/(r-1) for an r-partite S_t-saturated graph."""
-    if r < 3 or t < 3:
-        raise DomainError("need r >= 3 and t >= 3")
+    _check_partite(r, t, 0)
     return Fraction(r * (t - 1), r - 1)
 
 

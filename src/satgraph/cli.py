@@ -157,34 +157,25 @@ def _read_graph(text: str) -> Graph:
     return decode_graph6(text)
 
 
-_PLAIN = frozenset({bool, int, float, str, type(None)})
-
-
-def _jsonable(x):
-    # containers before Fraction: isinstance against Fraction, an ABC
-    # subclass, is slow, and adjacency lists are mostly int leaves
-    if type(x) in _PLAIN:
-        return x
-    if isinstance(x, dict):
-        return {str(k): v if type(v) in _PLAIN else _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [v if type(v) in _PLAIN else _jsonable(v) for v in x]
+def _fraction(x) -> dict:
+    """The encoder's hook: a Fraction as numerator, denominator and value;
+    reports hold no other type the encoder lacks."""
     if isinstance(x, Fraction):
         return {"numerator": x.numerator, "denominator": x.denominator,
                 "value": float(x)}
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _emit(command: str, parameters: dict, result, started: float) -> None:
     report = {
         "command": command,
-        "parameters": _jsonable(parameters),
-        "result": _jsonable(result),
+        "parameters": parameters,
+        "result": result,
         "wall_time_s": round(time.perf_counter() - started, 6),
         "version": __version__,
     }
     try:
-        text = json.dumps(report, sort_keys=True)
+        text = json.dumps(report, sort_keys=True, default=_fraction)
     except ValueError as exc:  # an int past sys.get_int_max_str_digits()
         raise DomainError(f"report not serializable: {exc}", code="capacity")
     print(text)
@@ -275,7 +266,7 @@ def _construct(args) -> dict:
     g, parts = g if isinstance(g, tuple) else (g, None)
     props: dict = {"degree_sequence": sorted(g.degrees())}
     if parts is not None:
-        props["parts"] = [list(p) for p in parts]
+        props["parts"] = parts
     if target is not None:
         target = parse_pattern(target.format(t=args.t))
         cert = is_saturated(g, target)
@@ -296,7 +287,10 @@ def _bounds(args) -> dict:
         value = report["value"] = getattr(bnd, func)(*values)
     except SplitPathFreeError as exc:
         return {**report, "value": None, "note": str(exc)}
-    if args.n is not None and name == "partite-threshold":
+    if name == "best-c":  # report keys are strings
+        report["value"] = {**value, "all": {str(c): n1 for c, n1
+                                            in value["all"].items()}}
+    elif args.n is not None and name == "partite-threshold":
         report["satisfied"] = args.n >= max(args.t + 1, value)
     elif args.n is not None and name == "partite-necessary":
         report["satisfied"] = Fraction(args.n) >= value
@@ -420,8 +414,10 @@ def run(argv) -> int:
         elif args.command == "bounds":
             _emit("bounds", _params(args), _bounds(args), started)
         elif args.command == "scan":
-            _emit("scan tstar", _params(args),
-                  tstar_scan(args.max_n, workers=args.workers), started)
+            scan = tstar_scan(args.max_n, workers=args.workers)
+            # report keys are strings, sorted "1", "10", "2"
+            scan["per_n"] = {str(n): v for n, v in scan["per_n"].items()}
+            _emit("scan tstar", _params(args), scan, started)
         elif args.command == "certify":
             archive, ok = _certify(args)
             if args.out:

@@ -178,14 +178,14 @@ def tree_automorphisms(t: Graph) -> int:
 
 
 def count_tree(g: Graph, t: PatternSpec) -> int:
-    """Copies of an explicit tree: injective embeddings over |Aut(t)|."""
+    """Copies of a tree-shaped pattern, after checking that it is one."""
     if t.kind not in ("star", "path", "tree"):
         raise DomainError("count_tree expects a tree-shaped pattern",
                           code="not-a-tree")
     tg = t.to_graph()
     if not is_tree(tg):
         raise DomainError("pattern payload is not a tree", code="not-a-tree")
-    return count_embeddings(g, tg) // count_embeddings(tg, tg)
+    return count_pattern(g, t)
 
 
 def count_pattern(g: Graph, p: PatternSpec) -> int:

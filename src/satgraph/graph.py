@@ -170,6 +170,9 @@ class Graph:
     # -- derived graphs ------------------------------------------------
 
     def with_edge(self, u: int, v: int) -> "Graph":
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise DomainError(f"edge {(u, v)!r} has an endpoint outside "
+                              f"0..{self.n - 1}", code="index")
         if u == v:
             raise DomainError("self-loop", code="self-loop")
         adj = list(self.adj)
@@ -332,14 +335,11 @@ def blow_up(g: Graph, sizes: Sequence[int]) -> Graph:
 def encode_graph6(g: Graph) -> str:
     """Encode in graph6: header for n, then upper-triangle bits x(i,j)
     for j = 1..n-1, i < j, packed into 6-bit groups offset by 63."""
-    n = g.n
+    n = g.n  # at most MAX_VERTICES, inside graph6's 258047
     if n <= 62:
         header = chr(n + 63)
-    elif n <= 258047:
-        header = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
-        raise DomainError("graph6 supports at most 258047 vertices here",
-                          code="capacity")
+        header = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     # column j lists x(0,j)..x(j-1,j): row j's low j bits, lowest first
     x = 0
     for j in range(1, n):

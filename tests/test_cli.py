@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import satgraph
-from satgraph.cli import _jsonable, run
+from satgraph.cli import _fraction, run
 from satgraph.graph import decode_graph6, encode_graph6
 from satgraph import constructions as cons
 
@@ -403,21 +403,22 @@ def test_huge_order_is_rejected_before_building(capsys, address_space_cap,
 
 _Pair = namedtuple("_Pair", "u v")
 
-# Every kind of value a report holds: Fractions, int keys that sort as
+# Every kind of value a report holds: Fractions, number keys written as
 # strings ("1", "10", "2", like `scan tstar`'s per_n), tuples, bool, None,
 # floats, an adjacency list, and dict/tuple subclasses.
 _REPORT_SAMPLE = {
     "ratio": Fraction(7, 3),
-    "per_n": {1: {"found": True}, 10: None, 2: [Fraction(-1, 2), 0.5]},
+    "per_n": {"1": {"found": True}, "10": None,
+              "2": [Fraction(-1, 2), 0.5]},
     "pairs": ((0, 1), (2, 3)),
     "flags": [True, False, None],
     "floats": (0.1, 1e-07, -0.0, 2.0),
     "adjacency": {"n": 3, "edges": [[0, 1], [1, 2]]},
     "nested": [[Fraction(1, 2), {"x": (Fraction(-3, 4), "s")}], [], {}],
-    "subclasses": OrderedDict([(3, _Pair(4, Fraction(5)))]),
+    "subclasses": OrderedDict([("3", _Pair(4, Fraction(5)))]),
 }
 
-# the bytes the isinstance-only serializer gave for _REPORT_SAMPLE
+# the bytes every report serializer so far gave for _REPORT_SAMPLE
 _REPORT_GOLDEN = (
     '{"adjacency": {"edges": [[0, 1], [1, 2]], "n": 3}, '
     '"flags": [true, false, null], "floats": [0.1, 1e-07, -0.0, 2.0], '
@@ -433,8 +434,25 @@ _REPORT_GOLDEN = (
 
 
 def test_report_serializer_golden_bytes():
-    assert json.dumps(_jsonable(_REPORT_SAMPLE), sort_keys=True) == \
+    assert json.dumps(_REPORT_SAMPLE, sort_keys=True, default=_fraction) == \
         _REPORT_GOLDEN
+    with pytest.raises(TypeError):
+        json.dumps({"set": {1}}, default=_fraction)
+
+
+@pytest.mark.parametrize("argv, path, keys", [
+    (["scan", "tstar", "--max-n", "10"], ("per_n",),
+     ["1", "10", "2", "3", "4", "5", "6", "7", "8", "9"]),
+    (["bounds", "best-c", "--r", "12", "--t", "5"], ("value", "all"),
+     ["0", "1", "10", "2", "3", "4", "5", "6", "7", "8", "9"]),
+])
+def test_number_keyed_reports_sort_keys_as_strings(capsys, argv, path, keys):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    result = payload(out)["result"]
+    for key in path:
+        result = result[key]
+    assert list(result) == keys
 
 
 def test_tie_ts_within_digit_limit(capsys):

@@ -155,12 +155,19 @@ def test_independent_sets_split():
 
 
 def test_star_and_path_counts_equal_tree_counts(rng):
+    # count_tree hands stars and paths to their own counters, so the
+    # oracle is the tree's embeddings over its automorphisms
+    def by_embeddings(g, tree):
+        return count_embeddings(g, tree) // count_embeddings(tree, tree)
+
     for n in (5, 6, 7, 8):
         g = random_graph(rng, n, 0.5)
         for r in range(2, 6):
-            assert count_stars(g, r) == count_tree(g, star(r))
+            assert count_stars(g, r) == count_tree(g, star(r)) == \
+                by_embeddings(g, star_graph(r))
         for k in range(2, min(n, 6) + 1):
-            assert count_paths(g, k) == count_tree(g, path(k))
+            assert count_paths(g, k) == count_tree(g, path(k)) == \
+                by_embeddings(g, path_graph(k))
 
 
 def test_counts_match_naive_oracle(rng):

@@ -182,3 +182,10 @@ def test_vertex_deletion_and_induced_subgraph_reject_bad_vertices():
     assert g.delete_vertex(1) == build_graph(3, [(1, 2)])
     assert g.induced([3, 2, 0]) == build_graph(3, [(0, 1)])
     assert g.induced([]) == empty_graph(0)
+
+
+@pytest.mark.parametrize("u, v", [(0, 3), (3, 0), (-1, 0), (0, -1), (5, 5)])
+def test_with_edge_rejects_vertices_outside_the_graph(u, v):
+    with pytest.raises(DomainError) as exc:
+        empty_graph(3).with_edge(u, v)
+    assert exc.value.code == "index"

@@ -200,8 +200,9 @@ def test_enumerate_classes_counts_match_networkx_atlas():
         assert got == want, cons
 
 
-@pytest.mark.parametrize("t, counts", [(3, [1, 1, 1]), (4, [1, 1, 2]),
-                                       (5, [1, 2, 3])])
+@pytest.mark.parametrize("t, counts", [
+    (3, [1, 1, 1]), (4, [1, 1, 2]), (5, [1, 2, 3]),
+    pytest.param(6, [1, 2, 6], marks=pytest.mark.slow)])
 def test_path_saturated_trees_start_at_path_sat_threshold(t, counts):
     """No tree on 3 <= n < path_sat_threshold(t) vertices is saturated for
     the path with t edges, and the threshold and the next two orders have
