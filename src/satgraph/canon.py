@@ -174,6 +174,7 @@ def equitable_partition(n: int, adj: AdjRows) -> list[int]:
     """The coarsest equitable ordered partition refining the degree cells,
     ordered as ``canonical_raw`` orders its initial cells, as masks.  The
     last degree cell is not queued: degrees fix each vertex's count in it."""
+    # kept: degree_masks less its empty masks replays 2% slower (K4-free n=8)
     groups: dict[int, int] = {}
     for v in range(n):
         d = adj[v].bit_count()
@@ -250,10 +251,10 @@ class _Canonizer:
                 gens += [s for s in self.auts[absorbed:]
                          if all(s[p] == p for p in path)]
                 absorbed = len(self.auts)
-                seen = _close(seen, seen, gens)
+                seen = close_orbits(seen, seen, gens)
             if seen >> v & 1:
                 continue
-            seen = _close(seen | 1 << v, 1 << v, gens)
+            seen = close_orbits(seen | 1 << v, 1 << v, gens)
             back = self._search(_individualize(adj, cells, k, v),
                                 path + [v], cols, placed)
             if back is not None and back < len(path):
@@ -271,9 +272,10 @@ def canonical_raw(n: int, adj: AdjRows, *, cells: list[int] | None = None):
     return _Canonizer(n, adj).run(cells)
 
 
-def _close(mask: int, todo: int, gens) -> int:
+def close_orbits(mask: int, todo: int, gens) -> int:
     """The union of the orbits under gens of mask's vertices, where those
-    outside todo are closed under gens already."""
+    outside todo are closed under gens already: the orbit of a vertex v is
+    close_orbits(1 << v, 1 << v, gens)."""
     while todo:
         low = todo & -todo
         todo ^= low

@@ -42,6 +42,22 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def degree_masks(deg: Sequence[int]) -> list[int]:
+    """masks[x]: the vertices of degree x, for x up to one above the
+    largest degree in deg."""
+    masks = [0] * (max(deg) + 2)
+    for v, x in enumerate(deg):
+        masks[x] |= 1 << v
+    return masks
+
+
+def deleted_rows(adj: Sequence[int], w: int) -> list[int]:
+    """The rows adj less the vertex w, the vertices above w shifted down
+    by one."""
+    low = (1 << w) - 1
+    return [a & low | a >> (w + 1) << w for v, a in enumerate(adj) if v != w]
+
+
 @lru_cache(maxsize=None)
 def _layout(n: int):
     """Bytes per row at a power-of-two stride, the off-diagonal n x n cells,
@@ -109,13 +125,12 @@ def check_combined_order(n: int) -> None:
 class Graph:
     """An immutable simple graph on vertices ``0..n-1``."""
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Sequence[int]):
         check_order(n)
         self.n = n
         self.adj = tuple(adj)
-        self._hash = None
         if len(self.adj) != n:
             raise DomainError("adjacency length does not match order")
         if not _is_simple(n, self.adj):
@@ -128,7 +143,6 @@ class Graph:
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list, rejecting bad input loudly."""
         adj = [0] * n
-        seen = set()
         for e in edges:
             u, v = e
             if not (0 <= u < n and 0 <= v < n):
@@ -136,20 +150,31 @@ class Graph:
                                   code="index")
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}", code="self-loop")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DomainError(f"duplicate edge {key!r}", code="duplicate-edge")
-            seen.add(key)
+            if adj[u] >> v & 1:
+                raise DomainError(f"duplicate edge {(min(u, v), max(u, v))!r}",
+                                  code="duplicate-edge")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return Graph(n, adj)
 
     # -- queries -------------------------------------------------------
 
+    def _check_vertex(self, x: int) -> None:
+        if not 0 <= x < self.n:
+            raise DomainError(f"vertex {x} outside 0..{self.n - 1}",
+                              code="index")
+
+    def _check_edge(self, u: int, v: int) -> None:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise DomainError(f"edge {(u, v)!r} has an endpoint outside "
+                              f"0..{self.n - 1}", code="index")
+
     def has_edge(self, u: int, v: int) -> bool:
+        self._check_edge(u, v)
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
+        self._check_vertex(v)
         return self.adj[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
@@ -165,14 +190,13 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u] >> (u + 1) << (u + 1))]
 
     def neighbors(self, v: int) -> list[int]:
+        self._check_vertex(v)
         return list(bits(self.adj[v]))
 
     # -- derived graphs ------------------------------------------------
 
     def with_edge(self, u: int, v: int) -> "Graph":
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise DomainError(f"edge {(u, v)!r} has an endpoint outside "
-                              f"0..{self.n - 1}", code="index")
+        self._check_edge(u, v)
         if u == v:
             raise DomainError("self-loop", code="self-loop")
         adj = list(self.adj)
@@ -182,10 +206,8 @@ class Graph:
 
     def delete_vertex(self, x: int) -> "Graph":
         """Remove vertex ``x``; vertices above ``x`` shift down by one."""
-        if not 0 <= x < self.n:
-            raise DomainError(f"vertex {x} outside 0..{self.n - 1}",
-                              code="index")
-        return self.induced([v for v in range(self.n) if v != x])
+        self._check_vertex(x)
+        return Graph(self.n - 1, deleted_rows(self.adj, x))
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """The subgraph induced on distinct ``vertices``, ``vertices[i]``
@@ -203,6 +225,9 @@ class Graph:
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Apply ``v -> perm[v]``; perm must be a bijection on 0..n-1."""
+        if len(perm) != self.n or set(perm) != set(range(self.n)):
+            raise DomainError(f"relabeling {list(perm)!r} is not a "
+                              f"permutation of 0..{self.n - 1}", code="index")
         adj = [0] * self.n
         for v in range(self.n):
             m = 0
@@ -217,9 +242,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, self.adj))
-        return self._hash
+        return hash((self.n, self.adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edges()})"

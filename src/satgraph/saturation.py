@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .canon import canonical_form
-from .counting import count_embeddings, find_clique, run_plan
+# perfbench/tracing.py wraps count_embeddings here; keep it
+from .counting import count_embeddings, embed, find_clique, run_plan  # noqa: F401
 from .errors import DomainError
 from .graph import Graph, bits, encode_graph6
 from .patterns import PatternSpec, graph_pattern
@@ -69,10 +70,9 @@ def contains_copy(g: Graph, f: PatternSpec):
     # kept: same witness as the unpinned plan in 3-5 us, not 18-27 us (S7)
     if f.kind == "star":
         r = f.size
-        for v in range(g.n):
-            if g.degree(v) >= r:
-                leaves = g.neighbors(v)[:r]
-                return tuple([v] + leaves)
+        for v, a in enumerate(g.adj):
+            if a.bit_count() >= r:
+                return tuple([v] + list(bits(a))[:r])
         return None
     if f.kind == "clique":
         return find_clique(g.adj, (1 << g.n) - 1, f.size)
@@ -256,7 +256,7 @@ def _minimal_members(members: list[Graph]) -> list[Graph]:
     kept: list[Graph] = []
     for i in order:
         cand = members[i]
-        if not any(count_embeddings(cand, small) > 0 for small in kept):
+        if all(embed(cand, small, first=True) is None for small in kept):
             kept.append(cand)
     return kept
 

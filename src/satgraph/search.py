@@ -112,11 +112,11 @@ from dataclasses import asdict, dataclass, replace
 from functools import cache
 from itertools import repeat
 
-from .canon import (automorphisms_from, canonical_raw, equitable_partition,
-                    orbit)
+from .canon import (automorphisms_from, canonical_raw, close_orbits,
+                    equitable_partition, orbit)
 from .counting import count_pattern, find_clique
 from .errors import DomainError, NoneExistError
-from .graph import Graph, bits, encode_graph6
+from .graph import Graph, bits, degree_masks, deleted_rows, encode_graph6
 from .patterns import PatternSpec, is_connected
 # perfbench/tracing.py wraps contains_copy and creates_copy here; keep them
 from .saturation import (contains_copy, copy_through, creates_copy,  # noqa: F401
@@ -181,7 +181,7 @@ def _grow_level(parents, k: int, cap: int, clique, forbidden, final: bool):
     n = k + 1
     for adjP, codeP, gens in parents:
         degP = [a.bit_count() for a in adjP]
-        dmasks = _degree_masks(degP)
+        dmasks = degree_masks(degP)
         kids = []
         moved = False  # some child was accepted with w* outside k's orbit
         memo: dict = {}
@@ -254,32 +254,16 @@ def _profile(adj, drop: int = -1):
     # drop's row is cleared, so its degree sets no vector length
     rows = [0 if v == drop else a & keep for v, a in enumerate(adj)]
     deg = [a.bit_count() for a in rows]
-    masks = _degree_masks(deg)
+    masks = degree_masks(deg)
     return sorted([deg[v]] + [(rows[v] & m).bit_count() for m in masks]
                   for v in range(len(adj)) if v != drop)
-
-
-def _delete(adj, w: int) -> list[int]:
-    """The rows of the graph on the rows adj less the vertex w, the
-    vertices above w shifted down by one, as Graph.delete_vertex gives."""
-    low = (1 << w) - 1
-    return [a & low | a >> (w + 1) << w for v, a in enumerate(adj) if v != w]
-
-
-def _degree_masks(deg) -> list[int]:
-    """masks[x]: the vertices of degree x, for x up to one above the
-    largest degree in deg."""
-    masks = [0] * (max(deg) + 2)
-    for v, x in enumerate(deg):
-        masks[x] |= 1 << v
-    return masks
 
 
 def _minimizers(adjP, dmasks, k: int, nmask: int) -> int | None:
     """The vertices other than k that tie with k on the invariant (degree,
     sorted neighbour degrees) in the child C = P + k with neighbourhood
     nmask, as a mask, or None when one of them is smaller.  nmask gives k
-    minimum degree in C, and dmasks is _degree_masks of P's degrees."""
+    minimum degree in C, and dmasks is degree_masks of P's degrees."""
     d = nmask.bit_count()
     # C's degree classes: P's by degree, each vertex of nmask one up; at
     # d = 0 nmask is empty, so dmasks[-1] adds nothing
@@ -309,7 +293,7 @@ def _try_child(adjP, codeP, dmasks, k: int, nmask: int, forbidden, gens,
     """Parent test for the child C = P + new vertex k with neighborhood
     nmask, a mask that already gives k minimum degree in C.
 
-    dmasks is _degree_masks of P's degrees; gens: Aut(P)'s generators
+    dmasks is degree_masks of P's degrees; gens: Aut(P)'s generators
     extended by k -> k, or None at the final order; memo caches P's
     profile and code.
     Returns None for a rejected child, else (adj, ambiguous, cells, canon,
@@ -327,7 +311,7 @@ def _try_child(adjP, codeP, dmasks, k: int, nmask: int, forbidden, gens,
     adj_child = tuple(rows) + (nmask,)
     if forbidden and _child_violates(adj_child, k, forbidden):
         return None
-    moves = gens and len(orbit(nmask, gens)) > 1
+    moves = gens and close_orbits(nmask, nmask, gens) != nmask
     if moves:
         gens = None  # Aut(C)_k is smaller than Aut(P): a form gives Aut(C)
     n = k + 1
@@ -344,7 +328,7 @@ def _try_child(adjP, codeP, dmasks, k: int, nmask: int, forbidden, gens,
         auts, seen = list(gens), 0
         for u in bits(others):
             if not seen >> u & 1:
-                seen |= sum(orbit(1 << u, gens))  # distinct vertex bits
+                seen = close_orbits(seen | 1 << u, 1 << u, gens)
                 auts.append(send(u) if send and not twin(u) else tuple(
                     k if x == u else u if x == k else x for x in range(n)))
                 if auts[-1] is None:
@@ -370,7 +354,8 @@ def _try_child(adjP, codeP, dmasks, k: int, nmask: int, forbidden, gens,
     else:
         canon = canonical_raw(n, adj_child, cells=cells)
         wstar = next(v for v in reversed(canon[1]) if last >> v & 1)
-    if wstar == k or canon and (1 << wstar) in orbit(1 << k, canon[2]):
+    if wstar == k or canon and close_orbits(1 << k, 1 << k,
+                                            canon[2]) >> wstar & 1:
         return adj_child, True, cells, canon, False
     if "profile" not in memo:  # P's, at its first child's deletion check
         memo["profile"] = _profile(adjP)
@@ -378,7 +363,7 @@ def _try_child(adjP, codeP, dmasks, k: int, nmask: int, forbidden, gens,
         return None
     if "code" not in memo:  # P's, at its first profile that matches
         memo["code"] = codeP or canonical_raw(k, adjP)[0]
-    if canonical_raw(k, _delete(adj_child, wstar))[0] != memo["code"]:
+    if canonical_raw(k, deleted_rows(adj_child, wstar))[0] != memo["code"]:
         return None
     return adj_child, True, cells, canon, True  # w* outside k's orbit
 

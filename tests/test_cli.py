@@ -183,6 +183,30 @@ def test_certify_grid(tmp_path, capsys):
     assert all(e["formula"] == e["oracle"] for e in archive["entries"])
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_certify_mismatch_exits_4(tmp_path, capsys, monkeypatch, to_file):
+    """A formula that disagrees with the search is listed under mismatches,
+    named on stderr, and ends the run with exit code 4."""
+    monkeypatch.setattr(satgraph.staropt, "satnum_star_star",
+                        lambda n, r, t: -1)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("7 S3 S2\n")
+    out_path = tmp_path / "archive.json"
+    argv = ["certify", "--grid", str(grid)]
+    code, out, err = invoke(capsys, *argv, *(["--out", str(out_path)]
+                                             if to_file else []))
+    assert code == 4
+    assert err == "certification mismatch at (n=7, forbid=S3, count=S2)\n"
+    result = payload(out)["result"]
+    if to_file:
+        assert result["mismatches"] == 1
+        result = json.loads(out_path.read_text())
+    [entry] = result["mismatches"]
+    assert entry == result["entries"][0]
+    assert (entry["n"], entry["forbid"], entry["count"]) == (7, "S3", "S2")
+    assert entry["formula"] == -1 != entry["oracle"]
+
+
 README_COMMANDS = [
     ["satnum", "star-star", "--n", "9", "--r", "2", "--t", "5"],
     ["m0", "--n", "21", "--r", "2", "--t", "11"],

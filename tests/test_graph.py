@@ -6,9 +6,11 @@ from satgraph.errors import DomainError, FormatError
 from satgraph.graph import (blow_up, build_graph, combine, complement,
                             complete_graph, cycle_graph, decode_graph6,
                             disjoint_union, empty_graph, encode_graph6, join,
-                            path_graph, to_adjacency_json, Graph)
+                            path_graph, star_graph, to_adjacency_json, Graph)
 from satgraph.canon import are_isomorphic
-from satgraph.counting import count_cliques
+from satgraph.counting import (count_cliques, count_independent_sets,
+                               count_tree)
+from satgraph.patterns import clique
 from satgraph import constructions as cons
 
 from conftest import all_labeled_graphs
@@ -189,3 +191,59 @@ def test_with_edge_rejects_vertices_outside_the_graph(u, v):
     with pytest.raises(DomainError) as exc:
         empty_graph(3).with_edge(u, v)
     assert exc.value.code == "index"
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: g.relabel([0, 1, 5]),
+    lambda g: g.relabel([-1, 0, 1]),
+    lambda g: g.relabel([0, 0, 1]),
+    lambda g: g.relabel([0, 1]),
+    lambda g: g.has_edge(0, 7),
+    lambda g: g.has_edge(-1, 0),
+    lambda g: g.degree(3),
+    lambda g: g.degree(-1),
+    lambda g: g.neighbors(5),
+], ids=["relabel-above", "relabel-negative", "relabel-repeat", "relabel-short",
+        "has-edge-above", "has-edge-negative", "degree-above",
+        "degree-negative", "neighbors-above"])
+def test_vertex_and_permutation_arguments_are_checked(call):
+    """A vertex outside 0..n-1, or a relabeling that is not a permutation
+    of 0..n-1, is a DomainError with code index."""
+    g = path_graph(3)
+    with pytest.raises(DomainError) as exc:
+        call(g)
+    assert exc.value.code == "index"
+    assert g.relabel([2, 0, 1]) == build_graph(3, [(2, 0), (0, 1)])
+    assert g.has_edge(1, 2) and not g.has_edge(0, 2)
+    assert g.degree(1) == 2 and g.neighbors(1) == [0, 2]
+
+
+@pytest.mark.parametrize("call, code, message", [
+    (lambda: Graph(2, [1]), "domain", "adjacency length does not match order"),
+    (lambda: Graph(2, [-1, 0]), "adjacency",
+     "adjacency rows must be symmetric, loop-free and below bit n=2"),
+    (lambda: Graph(2, [1 << 8, 0]), "adjacency",
+     "adjacency rows must be symmetric, loop-free and below bit n=2"),
+    (lambda: path_graph(0), "domain", "path needs at least 1 vertex"),
+    (lambda: cycle_graph(2), "domain", "cycle needs at least 3 vertices"),
+    (lambda: star_graph(-1), "domain", "star size must be nonnegative"),
+    (lambda: combine("x", empty_graph(1), empty_graph(1)), "domain",
+     "unknown combine kind 'x'"),
+    (lambda: blow_up(complete_graph(2), [1]), "domain",
+     "sizes length must equal graph order"),
+    (lambda: blow_up(complete_graph(2), [300, 300]), "capacity",
+     "blown-up order 600 exceeds capacity 512"),
+    (lambda: disjoint_union(empty_graph(300), empty_graph(300)), "capacity",
+     "combined order 600 exceeds capacity 512"),
+    (lambda: count_tree(complete_graph(4), clique(3)), "not-a-tree",
+     "count_tree expects a tree-shaped pattern"),
+    (lambda: count_independent_sets(complete_graph(4), -1), "domain",
+     "independent-set size must be >= 0"),
+], ids=["length", "negative-row", "row-above-stride", "path-0", "cycle-2",
+        "star-negative", "combine-kind", "blow-up-sizes", "blow-up-capacity",
+        "union-capacity", "count-tree-clique", "independent-negative"])
+def test_error_branches_name_code_and_message(call, code, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert exc.value.code == code
+    assert str(exc.value) == message

@@ -10,7 +10,7 @@ import pytest
 from satgraph import search
 from satgraph.canon import canonical_form, canonical_raw
 from satgraph.errors import DomainError, NoneExistError
-from satgraph.graph import Graph, decode_graph6
+from satgraph.graph import Graph, decode_graph6, degree_masks, deleted_rows
 from satgraph.patterns import (clique, cycle, parse_pattern, path, star,
                                tree_pattern)
 from satgraph.counting import count_pattern
@@ -350,7 +350,7 @@ def _final_level_against_reference(n, constraints):
         for mask in search._candidates(adjP, degP, gens, cap, clique):
             accepted, ambiguous, code = _reference_parent_test(
                 adjP, fullP, k, mask)
-            child = search._try_child(adjP, codeP, search._degree_masks(degP),
+            child = search._try_child(adjP, codeP, degree_masks(degP),
                                       k, mask, forbidden, None, memo)
             assert (child is not None) == accepted, (adjP, mask)
             if not accepted:
@@ -543,7 +543,7 @@ def test_minimizers_on_degree_masks_equal_list_based_layers():
             for _ in range(8):
                 adjP = random_graph(rng, k, p).adj
                 degP = [a.bit_count() for a in adjP]
-                dmasks = search._degree_masks(degP)
+                dmasks = degree_masks(degP)
                 for mask in search._candidates(adjP, degP, (), k + 1, None):
                     got = search._minimizers(adjP, dmasks, k, mask)
                     assert got == _minimizers_reference(adjP, k, mask)
@@ -681,14 +681,15 @@ def test_saturated_classes_equal_first_uncreated_reference(monkeypatch):
 
 
 def test_deleted_rows_equal_delete_vertex():
-    """The rows of C - w read off C's rows are Graph.delete_vertex's, on
-    seeded G(n, p) graphs."""
+    """The rows of C - w read off C's rows are those of the subgraph
+    induced on the other vertices, on seeded G(n, p) graphs."""
     rng = random.Random(20261018)
     for n in range(1, 11):
         for p in (0.2, 0.5, 0.8):
             g = random_graph(rng, n, p)
             for w in range(n):
-                assert search._delete(g.adj, w) == list(g.delete_vertex(w).adj)
+                rest = [v for v in range(n) if v != w]
+                assert deleted_rows(g.adj, w) == list(g.induced(rest).adj)
 
 
 @pytest.mark.parametrize("text", ["K1", "G:@", "G:?"])
