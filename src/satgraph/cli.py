@@ -166,6 +166,11 @@ def _fraction(x) -> dict:
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
+# the encoder json.dumps(x, sort_keys=True, default=_fraction) would
+# build on every call, built once
+_encode = json.JSONEncoder(sort_keys=True, default=_fraction).encode
+
+
 def _emit(command: str, parameters: dict, result, started: float) -> None:
     report = {
         "command": command,
@@ -175,7 +180,7 @@ def _emit(command: str, parameters: dict, result, started: float) -> None:
         "version": __version__,
     }
     try:
-        text = json.dumps(report, sort_keys=True, default=_fraction)
+        text = _encode(report)
     except ValueError as exc:  # an int past sys.get_int_max_str_digits()
         raise DomainError(f"report not serializable: {exc}", code="capacity")
     print(text)
@@ -264,7 +269,8 @@ def _construct(args) -> dict:
             raise DomainError("wt needs five sizes m1,m2,m3,m4,m5")
     g = getattr(cons, func)(*values)
     g, parts = g if isinstance(g, tuple) else (g, None)
-    props: dict = {"degree_sequence": sorted(g.degrees())}
+    degrees = sorted(g.degrees())
+    props: dict = {"degree_sequence": degrees}
     if parts is not None:
         props["parts"] = parts
     if target is not None:
@@ -272,7 +278,7 @@ def _construct(args) -> dict:
         cert = is_saturated(g, target)
         props["target"] = str(target)
         props["saturated"] = cert.is_saturated
-    return {"graph6": encode_graph6(g), "n": g.n, "edges": g.num_edges(),
+    return {"graph6": encode_graph6(g), "n": g.n, "edges": sum(degrees) // 2,
             "adjacency": to_adjacency_json(g), "properties": props}
 
 
@@ -352,8 +358,9 @@ def _certify(args) -> tuple[dict, bool]:
 def run(argv) -> int:
     parser, commands, workers = _parser()
     # a string default goes through the type check like a typed value
+    default = os.environ.get("SATGRAPH_WORKERS", "1")
     for action in workers:
-        action.default = os.environ.get("SATGRAPH_WORKERS", "1")
+        action.default = default
     started = time.perf_counter()
     try:
         if argv and argv[0] in commands:
@@ -366,7 +373,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     if args.schema:
-        print(json.dumps(SCHEMA, sort_keys=True))
+        print(_encode(SCHEMA))
         return 0
     if args.command is None:
         parser.print_usage(sys.stderr)
@@ -437,8 +444,7 @@ def run(argv) -> int:
                 return 4
     except (DomainError, OSError) as exc:
         code = exc.code if isinstance(exc, DomainError) else "io"
-        print(json.dumps({"error": {"code": code, "message": str(exc)}},
-                         sort_keys=True))
+        print(_encode({"error": {"code": code, "message": str(exc)}}))
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -11,7 +11,7 @@ from .bounds import partite_threshold
 from .errors import DomainError
 from .graph import (Graph, blow_up, build_graph, check_combined_order,
                     check_order, complete_graph, cycle_graph, disjoint_union,
-                    empty_graph, join)
+                    join)
 
 
 def split_graph(n: int, t: int) -> Graph:
@@ -22,7 +22,13 @@ def split_graph(n: int, t: int) -> Graph:
     """
     if not n >= t >= 2:
         raise DomainError(f"split graph needs n >= t >= 2, got n={n}, t={t}")
-    return join(complete_graph(t - 2), empty_graph(n - t + 2))
+    # the capacity checks of the join: each part, then the sum
+    check_order(t - 2)
+    check_order(n - t + 2)
+    check_combined_order(n)
+    full = (1 << n) - 1
+    return Graph(n, [full ^ 1 << v for v in range(t - 2)]
+                 + [(1 << t - 2) - 1] * (n - t + 2))
 
 
 def near_regular(a: int, b: int) -> Graph:
@@ -34,6 +40,11 @@ def near_regular(a: int, b: int) -> Graph:
     ab uses circulant offsets 1..floor(a/2), plus the antipodal perfect
     matching when a is odd.
     """
+    return Graph(b, _near_regular_rows(a, b))
+
+
+def _near_regular_rows(a: int, b: int) -> list[int]:
+    """The rows of near_regular(a, b), with its checks."""
     if a < 0:
         raise DomainError("degree must be nonnegative")
     if b <= a:
@@ -50,9 +61,9 @@ def near_regular(a: int, b: int) -> Graph:
     return _circulant(b, range(1, a // 2 + 1), extra)
 
 
-def _circulant(n: int, offsets, extra=()) -> Graph:
-    """The graph on 0..n-1 joining each i to i + s (mod n) for every offset
-    s, plus the edges extra."""
+def _circulant(n: int, offsets, extra=()) -> list[int]:
+    """The rows of the graph on 0..n-1 joining each i to i + s (mod n) for
+    every offset s, plus the edges extra."""
     check_order(n)
     row = 0
     for s in offsets:
@@ -62,7 +73,7 @@ def _circulant(n: int, offsets, extra=()) -> Graph:
     for u, v in extra:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, adj)
+    return adj
 
 
 def kr_graph(t: int, n: int, m: int) -> Graph:
@@ -84,7 +95,7 @@ def kr_graph(t: int, n: int, m: int) -> Graph:
         raise DomainError("odd parity needs m >= 1 to host the bridge edge",
                           code="bridge")
     check_order(m)
-    rest = near_regular(t - 1, n - m).adj
+    rest = _near_regular_rows(t - 1, n - m)
     check_combined_order(n)
     clique = (1 << m) - 1
     adj = [clique ^ 1 << v for v in range(m)] + [a << m for a in rest]
@@ -117,16 +128,16 @@ def regular_multipartite(a: int, r: int, k: int):
     check_order(n)
     full_offsets = [s for s in range(1, (n - 1) // 2 + 1) if s % r != 0]
     if k % 2 == 0:
-        g = _circulant(n, full_offsets[:k // 2])
+        adj = _circulant(n, full_offsets[:k // 2])
     elif n % 2 == 0 and (n // 2) % r != 0:  # the antipodal matching
-        g = _circulant(n, full_offsets[:(k - 1) // 2],
-                       [(i, i + n // 2) for i in range(n // 2)])
+        adj = _circulant(n, full_offsets[:(k - 1) // 2],
+                         [(i, i + n // 2) for i in range(n // 2)])
     else:
         # consecutive-pair matching lives inside the offset-1 layer
-        g = _circulant(n, [s for s in full_offsets if s != 1][:(k - 1) // 2],
-                       [(2 * i, 2 * i + 1) for i in range(n // 2)])
+        adj = _circulant(n, [s for s in full_offsets if s != 1][:(k - 1) // 2],
+                         [(2 * i, 2 * i + 1) for i in range(n // 2)])
     parts = tuple(tuple(range(p, n, r)) for p in range(r))
-    return g, parts
+    return Graph(n, adj), parts
 
 
 def partite_saturated(n: int, r: int, t: int, c: int):

@@ -159,13 +159,15 @@ class Graph:
 
     # -- queries -------------------------------------------------------
 
+    # a vertex is an int, and a bool is not one
     def _check_vertex(self, x: int) -> None:
-        if not 0 <= x < self.n:
+        if type(x) is not int or not 0 <= x < self.n:
             raise DomainError(f"vertex {x} outside 0..{self.n - 1}",
                               code="index")
 
     def _check_edge(self, u: int, v: int) -> None:
-        if not (0 <= u < self.n and 0 <= v < self.n):
+        if not (type(u) is type(v) is int
+                and 0 <= u < self.n and 0 <= v < self.n):
             raise DomainError(f"edge {(u, v)!r} has an endpoint outside "
                               f"0..{self.n - 1}", code="index")
 
@@ -213,7 +215,8 @@ class Graph:
         """The subgraph induced on distinct ``vertices``, ``vertices[i]``
         becoming vertex i."""
         pos = {v: i for i, v in enumerate(vertices)}
-        if len(pos) != len(vertices) or not all(0 <= v < self.n for v in pos):
+        if len(pos) != len(vertices) or not all(
+                type(v) is int and 0 <= v < self.n for v in pos):
             raise DomainError(f"vertices {list(vertices)!r} must be distinct "
                               f"and inside 0..{self.n - 1}", code="index")
         adj = [0] * len(vertices)
@@ -225,7 +228,8 @@ class Graph:
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Apply ``v -> perm[v]``; perm must be a bijection on 0..n-1."""
-        if len(perm) != self.n or set(perm) != set(range(self.n)):
+        if (len(perm) != self.n or set(perm) != set(range(self.n))
+                or any(type(p) is not int for p in perm)):
             raise DomainError(f"relabeling {list(perm)!r} is not a "
                               f"permutation of 0..{self.n - 1}", code="index")
         adj = [0] * self.n
@@ -422,4 +426,5 @@ def decode_graph6(text: str) -> Graph:
 
 
 def to_adjacency_json(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
+    return {"n": g.n, "edges": [[u, v] for u, a in enumerate(g.adj)
+                                for v in bits(a >> u + 1 << u + 1)]}

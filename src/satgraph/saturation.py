@@ -25,7 +25,7 @@ degree and its missing edges mostly settle it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .canon import canonical_form
 # perfbench/tracing.py wraps count_embeddings here; keep it
@@ -72,7 +72,7 @@ def contains_copy(g: Graph, f: PatternSpec):
         r = f.size
         for v, a in enumerate(g.adj):
             if a.bit_count() >= r:
-                return tuple([v] + list(bits(a))[:r])
+                return (v, *islice(bits(a), r))
         return None
     if f.kind == "clique":
         return find_clique(g.adj, (1 << g.n) - 1, f.size)
@@ -118,9 +118,16 @@ def split_family(fs):
     # a graph free of K_t or S_r is free of every larger clique or star,
     # and a non-edge creating one creates every smaller one, so the
     # smallest of each decides both for all of them
-    t = min((f.size for f in fs if f.kind == "clique"), default=None)
-    r = min((f.size for f in fs if f.kind == "star"), default=None)
-    return t, r, [f for f in fs if f.kind not in ("clique", "star")]
+    t = r = None
+    others = []
+    for f in fs:
+        if f.kind == "clique":
+            t = f.size if t is None else min(t, f.size)
+        elif f.kind == "star":
+            r = f.size if r is None else min(r, f.size)
+        else:
+            others.append(f)
+    return t, r, others
 
 
 def saturation_verdict(fs):

@@ -6,6 +6,7 @@ forms by minimizing over all permutations, and class counts by the
 cycle-index (Burnside) formula over the pair action.
 """
 
+import functools
 from itertools import combinations, permutations
 
 import pytest
@@ -142,6 +143,22 @@ def labeled_class_count(n: int, predicate=None) -> int:
 def rng():
     import random
     return random.Random(20240817)
+
+
+@pytest.fixture(scope="session")
+def class_graphs():
+    """class_graphs(n, *forbidden): one Graph per isomorphism class of
+    n-vertex graphs free of every pattern in forbidden, as enumerate_graphs
+    gives them, in a tuple built once per session, so that no test can
+    change what another reads.  For tests that read a class list as data;
+    tests of the enumerator call it themselves."""
+    from satgraph.search import SearchConstraints, enumerate_graphs
+
+    @functools.cache
+    def class_graphs(n, *forbidden):
+        return tuple(enumerate_graphs(n, SearchConstraints(forbidden=forbidden)))
+
+    return class_graphs
 
 
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:

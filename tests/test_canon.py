@@ -11,7 +11,6 @@ from satgraph.canon import (_refine, are_isomorphic, automorphisms_from,
                             equitable_partition, orbit)
 from satgraph.graph import (Graph, bits, build_graph, complete_graph,
                             cycle_graph, empty_graph, path_graph, star_graph)
-from satgraph.search import enumerate_graphs
 from satgraph import constructions as cons
 
 from conftest import (all_labeled_graphs, automorphism_count,
@@ -201,13 +200,13 @@ def _assert_generators_complete(g, order):
     assert group_order(g.n, gens) == order
 
 
-def test_automorphism_generators_generate_the_group(rng):
+def test_automorphism_generators_generate_the_group(rng, class_graphs):
     """The generators canonical_raw returns generate all of Aut(G): every
     class on at most 6 vertices against the permutation count, and seeded
     G(n, p) graphs on 7..10 vertices against a degree-respecting count,
     each in two labellings."""
     for n in range(1, 7):
-        for g in enumerate_graphs(n):
+        for g in class_graphs(n):
             order = naive_automorphisms(g)
             for h in (g, g.relabel(rng.sample(range(n), n))):
                 _assert_generators_complete(h, order)
@@ -238,13 +237,13 @@ def _assert_positions_in_initial_cells(g):
     assert cells == equitable_partition(g.n, g.adj)  # only read
 
 
-def test_canonical_positions_stay_in_initial_cells(rng):
+def test_canonical_positions_stay_in_initial_cells(rng, class_graphs):
     """canonical_raw puts each cell of the initial equitable partition on
     that cell's run of positions, and gives the same output when handed
     the partition: every class on at most 7 vertices, and seeded G(n, p)
     graphs on 8..10 vertices, each in two labellings."""
     for n in range(1, 8):
-        for g in enumerate_graphs(n):
+        for g in class_graphs(n):
             _assert_positions_in_initial_cells(g)
     for n in range(8, 11):
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -277,7 +276,7 @@ def _assert_sent_automorphisms_sound(g):
     return found
 
 
-def test_automorphism_sending_is_sound():
+def test_automorphism_sending_is_sound(class_graphs):
     """The in-step candidate automorphism is checked before it is
     returned: every class on at most 7 vertices, and seeded graphs on
     8..10 vertices, each in two labellings: G(n, p), and regular graphs,
@@ -286,7 +285,7 @@ def test_automorphism_sending_is_sound():
     rng = random.Random(20261018)
     found = 0
     for n in range(1, 8):
-        for g in enumerate_graphs(n):
+        for g in class_graphs(n):
             found += _assert_sent_automorphisms_sound(g)
     sample = [random_graph(rng, n, p) for n in range(8, 11)
               for p in (0.1, 0.3, 0.5, 0.7, 0.9) for _ in range(10)]
@@ -347,7 +346,7 @@ def _refinement_inputs(g):
             break
 
 
-def test_refine_equals_reference_kernel():
+def test_refine_equals_reference_kernel(class_graphs):
     """The refinement kernel, which stops at a discrete partition, gives
     exactly the ordered partition of the kernel it replaced, on every
     input equitable_partition and _individualize would hand it, the
@@ -355,7 +354,7 @@ def test_refine_equals_reference_kernel():
     G(n, p) graphs on 8..12, and seeded regular graphs, whose one-cell
     partition is split by splitters of several vertices."""
     rng = random.Random(20261018)
-    sample = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    sample = [g for n in range(1, 8) for g in class_graphs(n)]
     sample += [random_graph(rng, n, p) for n in range(8, 13)
                for p in (0.1, 0.3, 0.5, 0.7, 0.9) for _ in range(6)]
     sample += [random_regular(rng, n, d) for n, d in
@@ -373,13 +372,13 @@ def test_refine_equals_reference_kernel():
     assert checked > 5000
 
 
-def test_automorphisms_from_shares_one_path():
+def test_automorphisms_from_shares_one_path(class_graphs):
     """One function from automorphisms_from, called for every b of a's
     cell in turn, returns what a fresh automorphisms_from returns for each
     pair: every class on at most 6 vertices and seeded G(n, p) graphs on
     7..9 vertices."""
     rng = random.Random(20261018)
-    sample = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    sample = [g for n in range(1, 7) for g in class_graphs(n)]
     sample += [random_graph(rng, n, p) for n in range(7, 10)
                for p in (0.2, 0.5, 0.8) for _ in range(5)]
     for g in sample:

@@ -1,7 +1,9 @@
 """CLI behavior: JSON output, exit codes, schema, certify."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 import satgraph
-from satgraph.cli import _fraction, run
+from satgraph import cli
+from satgraph.cli import _FAMILIES, _fraction, run
 from satgraph.graph import decode_graph6, encode_graph6
 from satgraph import constructions as cons
 
@@ -460,6 +463,7 @@ _REPORT_GOLDEN = (
 def test_report_serializer_golden_bytes():
     assert json.dumps(_REPORT_SAMPLE, sort_keys=True, default=_fraction) == \
         _REPORT_GOLDEN
+    assert cli._encode(_REPORT_SAMPLE) == _REPORT_GOLDEN
     with pytest.raises(TypeError):
         json.dumps({"set": {1}}, default=_fraction)
 
@@ -578,3 +582,49 @@ def test_closed_stdout_exits_io_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 3
     assert "Traceback" not in err
+
+
+# the values of each construct family's flags, in _FAMILIES order, with
+# the domain errors at the edges of each grid
+_CONSTRUCT_GRID = {
+    "split": [(n, t) for n in range(10) for t in range(8)]
+    + [(600, 4), (1000, 600), (520, 10)],
+    "near-regular": [(a, b) for a in range(-1, 6) for b in range(9)],
+    "kr": [(t, n, m) for t in range(1, 7) for n in range(11)
+           for m in range(-1, t + 1)] + [(5, 600, 2), (3, 514, 2)],
+    "regular-multipartite": [(a, r, k) for a in range(4) for r in range(1, 5)
+                             for k in range(-1, a * (r - 1) + 2)],
+    "partite": [(n, r, t, c) for n in range(5, 13) for r in range(2, 5)
+                for t in (2, 3, 4) for c in range(-1, r - 1)],
+    "g49": [()],
+    "g4n": [(n,) for n in range(7, 15)],
+    "gtn": [(t, n) for t in range(3, 7) for n in range(6, 14)],
+    "wt": [(t, sizes) for t in range(3, 6)
+           for sizes in ("1,1,1,1,1", "2,1,3,1,2", "0,1,1,1,1", "1,1,1,1",
+                         "1,2,1,2,1,2")],
+    "fig1": [()],
+    "fig2": [()],
+    "tstar": [()],
+    "cycle-pendants": [(k,) for k in range(1, 8)],
+}
+
+# SHA-256 over _CONSTRUCT_GRID of each construct query's argv, exit code,
+# stdout less wall_time_s, and stderr; computed before split_graph and
+# kr_graph built their rows without intermediate Graphs
+CONSTRUCT_REPORT_DIGEST = ("52f35a12cd9e55d2bdf7a335eb0c6158"
+                           "1dc1a65a10c7c3afac30bb5c32b6e785")
+
+
+def test_construct_report_golden_digest(capsys):
+    assert list(_CONSTRUCT_GRID) == list(_FAMILIES)
+    h = hashlib.sha256()
+    for family, grid in _CONSTRUCT_GRID.items():
+        flags = _FAMILIES[family][1].split()
+        for values in grid:
+            argv = ["construct", family]
+            for flag, value in zip(flags, values):
+                argv += [f"--{flag}", str(value)]
+            code, out, err = invoke(capsys, *argv)
+            out = re.sub(r', "wall_time_s": [-0-9.e]+', "", out)
+            h.update(repr((argv, code, out, err)).encode())
+    assert h.hexdigest() == CONSTRUCT_REPORT_DIGEST

@@ -1,5 +1,7 @@
 """Graph value type, combinators, and the graph6 codec."""
 
+import random
+
 import pytest
 
 from satgraph.errors import DomainError, FormatError
@@ -13,7 +15,7 @@ from satgraph.counting import (count_cliques, count_independent_sets,
 from satgraph.patterns import clique
 from satgraph import constructions as cons
 
-from conftest import all_labeled_graphs
+from conftest import all_labeled_graphs, random_graph
 
 
 def test_build_triangle():
@@ -148,9 +150,17 @@ def test_graph6_bad_byte():
 
 
 def test_adjacency_json_roundtrip():
+    """The edge lists give the graph back, and they are the edges of
+    edges(), in order, each as a list: fig2 and seeded G(n, p) graphs."""
     g = cons.fig2()
     obj = to_adjacency_json(g)
     assert build_graph(obj["n"], [tuple(e) for e in obj["edges"]]) == g
+    rng = random.Random(20261022)
+    for n in range(0, 40, 3):
+        for p in (0.0, 0.2, 0.5, 0.9, 1.0):
+            g = random_graph(rng, n, p)
+            assert to_adjacency_json(g) == {
+                "n": n, "edges": [list(e) for e in g.edges()]}
 
 
 def test_immutability_of_edge_ops():
@@ -203,12 +213,23 @@ def test_with_edge_rejects_vertices_outside_the_graph(u, v):
     lambda g: g.degree(3),
     lambda g: g.degree(-1),
     lambda g: g.neighbors(5),
+    lambda g: g.relabel([0, 1.0, 2]),
+    lambda g: g.has_edge(0, 1.5),
+    lambda g: g.has_edge(True, 1),
+    lambda g: g.neighbors(1.0),
+    lambda g: g.degree(True),
+    lambda g: g.with_edge(0, 2.0),
+    lambda g: g.delete_vertex(False),
+    lambda g: g.induced([0, True]),
 ], ids=["relabel-above", "relabel-negative", "relabel-repeat", "relabel-short",
         "has-edge-above", "has-edge-negative", "degree-above",
-        "degree-negative", "neighbors-above"])
+        "degree-negative", "neighbors-above", "relabel-float",
+        "has-edge-float", "has-edge-bool", "neighbors-float", "degree-bool",
+        "with-edge-float", "delete-vertex-bool", "induced-bool"])
 def test_vertex_and_permutation_arguments_are_checked(call):
-    """A vertex outside 0..n-1, or a relabeling that is not a permutation
-    of 0..n-1, is a DomainError with code index."""
+    """A vertex outside 0..n-1 or not an int (a bool is not one), or a
+    relabeling that is not a permutation of 0..n-1, is a DomainError with
+    code index."""
     g = path_graph(3)
     with pytest.raises(DomainError) as exc:
         call(g)
@@ -247,3 +268,4 @@ def test_error_branches_name_code_and_message(call, code, message):
         call()
     assert exc.value.code == code
     assert str(exc.value) == message
+

@@ -10,12 +10,13 @@ import pytest
 from satgraph.canon import are_isomorphic
 from satgraph.counting import count_cliques, embed, run_plan
 from satgraph.errors import DomainError
-from satgraph.graph import (complete_graph, cycle_graph, disjoint_union,
-                            empty_graph, join)
+from satgraph.graph import (bits, complete_graph, cycle_graph,
+                            disjoint_union, empty_graph, join)
 from satgraph.patterns import clique, parse_pattern, star, tree_pattern
 from satgraph.saturation import (contains_copy, creates_copy,
                                  is_family_saturated, is_saturated,
-                                 peel_universal, star_sat_structure)
+                                 peel_universal, split_family,
+                                 star_sat_structure)
 from satgraph import bounds, constructions as cons
 
 from conftest import all_labeled_graphs, non_edges, random_graph
@@ -238,7 +239,8 @@ def test_anchored_first_hit_respects_the_added_edge(rng):
 
 def test_star_witness_is_the_plan_witness(rng):
     """contains_copy's star branch returns what the unpinned plan of the
-    star, the general path, returns."""
+    star, the general path, returns, and the first vertex v of degree at
+    least r with the first r entries of v's whole neighbour list."""
     graphs = [cons.kr_graph(t, n, m) for t in range(3, 8)
               for n in range(2 * t - 1, 2 * t + 4) for m in range(t)
               if n - m >= t and (m or (t - 1) * (n - m) % 2 == 0)]
@@ -246,11 +248,35 @@ def test_star_witness_is_the_plan_witness(rng):
                for t in range(2, n + 1)]
     graphs += [random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
                for n in range(11) for _ in range(8)]
+    graphs += [complete_graph(n) for n in (1, 2, 5, 60)]
     for g in graphs:
         for r in range(1, 10):
             f = star(r)
             plan = run_plan(f.plans[0][0], g.adj, g.degrees(), (), True)
-            assert contains_copy(g, f) == plan, (g, r)
+            v = next((v for v, a in enumerate(g.adj) if a.bit_count() >= r),
+                     None)
+            listed = None if v is None else tuple(
+                [v] + list(bits(g.adj[v]))[:r])
+            assert contains_copy(g, f) == plan == listed, (g, r)
+
+
+def test_split_family_equals_min_and_filter():
+    """split_family gives what the smallest-clique and smallest-star
+    minimums and the filter of the other members give, on mixed
+    families of every size up to 6."""
+    rng = random.Random(20261022)
+    pool = [clique(t) for t in range(2, 7)] + [star(r) for r in range(1, 7)]
+    pool += [parse_pattern(x) for x in ("P3", "P4", "C5")]
+    pool.append(tree_pattern(cons.t_star()))
+    for size in range(7):
+        for _ in range(60):
+            fs = [rng.choice(pool) for _ in range(size)]
+            want = (min((f.size for f in fs if f.kind == "clique"),
+                        default=None),
+                    min((f.size for f in fs if f.kind == "star"),
+                        default=None),
+                    [f for f in fs if f.kind not in ("clique", "star")])
+            assert split_family(fs) == split_family(tuple(fs)) == want, fs
 
 
 def test_clique_witness_agrees_with_clique_count(rng):

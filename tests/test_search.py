@@ -117,12 +117,12 @@ def test_satnum_exact_none_exist():
                      SearchConstraints(max_degree=2))
 
 
-def test_prune_soundness_star_degree_cap():
+def test_prune_soundness_star_degree_cap(class_graphs):
     """The max-degree prune never changes the reported minimum: the search
     agrees with a filter of every n-vertex class by is_saturated."""
     for t in (3, 4):
         for n in range(t + 1, 8):
-            sat = [g for g in enumerate_graphs(n)
+            sat = [g for g in class_graphs(n)
                    if is_saturated(g, star(t)).is_saturated]
             for r in (1, 2):
                 clear_cache()
@@ -565,15 +565,14 @@ def _random_free_graph(rng, n, *fs):
     return g
 
 
-def test_row_level_saturation_equals_is_saturated():
+def test_row_level_saturation_equals_is_saturated(class_graphs):
     """first_uncreated's verdict on the rows equals is_saturated's for
     K2..K5 and S1..S4: every f-free class on at most 7 vertices, and
     seeded random f-free graphs on 5..10 vertices."""
     rng = random.Random(20261018)
     verdicts = []
     for f in [clique(t) for t in range(2, 6)] + [star(r) for r in range(1, 5)]:
-        graphs = [Graph(n, adj) for n in range(1, 8) for adj, _ in
-                  enumerate_classes(n, SearchConstraints(forbidden=(f,)))]
+        graphs = [g for n in range(1, 8) for g in class_graphs(n, f)]
         graphs += [_random_free_graph(rng, n, f) for n in range(5, 11)
                    for _ in range(30)]
         for g in graphs:
@@ -583,7 +582,7 @@ def test_row_level_saturation_equals_is_saturated():
     assert verdicts.count(True) > 500 and verdicts.count(False) > 500
 
 
-def test_saturation_verdict_equals_first_uncreated():
+def test_saturation_verdict_equals_first_uncreated(class_graphs):
     """saturation_verdict, which walks the rows from the last vertex down,
     equals first_uncreated's verdict for K2..K5, S1..S4, P4, C4, the
     spider and the family (K3, S3): every class free of the family on at
@@ -597,8 +596,8 @@ def test_saturation_verdict_equals_first_uncreated():
     verdicts = Counter()
     for fs in families:
         saturated = saturation_verdict(fs)
-        rows = [("class", adj) for n in range(1, 8) for adj, _ in
-                enumerate_classes(n, SearchConstraints(forbidden=fs))]
+        rows = [("class", g.adj) for n in range(1, 8)
+                for g in class_graphs(n, *fs)]
         for n in range(5, 11):
             for _ in range(30):
                 g = _random_free_graph(rng, n, *fs)
