@@ -585,7 +585,7 @@ def test_closed_stdout_exits_io_without_traceback():
 
 
 # the values of each construct family's flags, in _FAMILIES order, with
-# the domain errors at the edges of each grid
+# the domain and capacity errors at the edges of each grid
 _CONSTRUCT_GRID = {
     "split": [(n, t) for n in range(10) for t in range(8)]
     + [(600, 4), (1000, 600), (520, 10)],

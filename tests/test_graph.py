@@ -268,4 +268,3 @@ def test_error_branches_name_code_and_message(call, code, message):
         call()
     assert exc.value.code == code
     assert str(exc.value) == message
-
